@@ -54,8 +54,8 @@
 //
 //	sudbench -experiment tenant --tenants 4 --conns 4 --json BENCH_tenant.json
 //
-// Measurements run in deterministic virtual time; see EXPERIMENTS.md for the
-// recorded paper-vs-measured comparison.
+// Measurements run in deterministic virtual time; README.md ("Why virtual
+// time") and docs/ARCHITECTURE.md describe the model behind them.
 package main
 
 import (

@@ -51,7 +51,7 @@ type Codec struct {
 	pos  uint32
 
 	running bool
-	tick    *sim.Event
+	tick    sim.Event
 
 	// Played collects every sample byte the "speaker" consumed, so
 	// tests can verify bit-exact playback through either host.

@@ -6,14 +6,14 @@ import (
 	"sud/internal/sim"
 )
 
-// iotlbEntry caches one translation. Entries are keyed by the issuing
+// tlbKey names one cached translation. Entries are keyed by the issuing
 // stream as well as the device, as PASID-tagged IOTLBs are: two streams of
-// one device never alias each other's cached translations.
-type iotlbEntry struct {
-	bdf    pci.BDF
+// one device never alias each other's cached translations. The fields are
+// word-sized so the key has no padding and the map hashes it in one pass.
+type tlbKey struct {
+	page   mem.Addr
 	stream int
-	iova   mem.Addr
-	pte    pte
+	bdf    uint64 // a pci.BDF
 }
 
 // iotlbSize is the modelled IOTLB capacity in 4-KiB translations; evicted
@@ -45,7 +45,14 @@ type Unit struct {
 	qdoms   map[queueKey]*Domain
 	nextID  int
 
-	tlb     []iotlbEntry
+	// The IOTLB: tlb indexes the cached translations, tlbFIFO holds
+	// their keys oldest first for eviction. tlbFIFO is a window onto
+	// tlbBuf that slides right as entries are evicted and is moved back
+	// to the front when it reaches the end, so eviction is amortised
+	// O(1) and never allocates.
+	tlb     map[tlbKey]pte
+	tlbFIFO []tlbKey
+	tlbBuf  [2 * iotlbSize]tlbKey
 	tlbHit  uint64
 	tlbMiss uint64
 
@@ -66,6 +73,7 @@ func New(cfg Config, clock *sim.Clock) *Unit {
 		clock:   clock,
 		domains: make(map[pci.BDF]*Domain),
 		qdoms:   make(map[queueKey]*Domain),
+		tlb:     make(map[tlbKey]pte, iotlbSize),
 	}
 }
 
@@ -137,9 +145,6 @@ func (u *Unit) TranslateQ(bdf pci.BDF, stream int, iova mem.Addr, write bool) (m
 	if !ok {
 		return 0, 0, u.faultQ(bdf, stream, iova, write, "no domain attached")
 	}
-	if qd, qok := u.qdoms[queueKey{bdf: bdf, stream: stream}]; qok {
-		dom = qd
-	}
 
 	// Intel VT-d: implicit identity mapping for the MSI window in every
 	// page table — it is "not possible to prevent this type of attack"
@@ -149,19 +154,21 @@ func (u *Unit) TranslateQ(bdf pci.BDF, stream int, iova mem.Addr, write bool) (m
 		return iova, 0, nil
 	}
 
-	pageIOVA := mem.PageAlign(iova)
-	// IOTLB lookup.
-	for _, e := range u.tlb {
-		if e.bdf == bdf && e.stream == stream && e.iova == pageIOVA {
-			u.tlbHit++
-			if err := checkPerm(e.pte.perm, write); err != "" {
-				return 0, 0, u.faultQ(bdf, stream, iova, write, err)
-			}
-			return e.pte.phys + mem.Addr(mem.PageOffset(iova)), 0, nil
+	key := tlbKey{page: mem.PageAlign(iova), stream: stream, bdf: uint64(bdf)}
+	if e, hit := u.tlb[key]; hit {
+		u.tlbHit++
+		if err := checkPerm(e.perm, write); err != "" {
+			return 0, 0, u.faultQ(bdf, stream, iova, write, err)
 		}
+		return e.phys + mem.Addr(mem.PageOffset(iova)), 0, nil
 	}
 	u.tlbMiss++
 	u.walks++
+	if stream != 0 {
+		if qd, qok := u.qdoms[queueKey{bdf: bdf, stream: stream}]; qok {
+			dom = qd
+		}
+	}
 	entry, present := dom.walk(iova)
 	if !present {
 		return 0, sim.CostIOMMUWalk, u.faultQ(bdf, stream, iova, write, "not present in IO page table")
@@ -169,12 +176,36 @@ func (u *Unit) TranslateQ(bdf pci.BDF, stream int, iova mem.Addr, write bool) (m
 	if err := checkPerm(entry.perm, write); err != "" {
 		return 0, sim.CostIOMMUWalk, u.faultQ(bdf, stream, iova, write, err)
 	}
-	// Insert into the IOTLB, FIFO eviction.
-	if len(u.tlb) >= iotlbSize {
-		u.tlb = u.tlb[1:]
-	}
-	u.tlb = append(u.tlb, iotlbEntry{bdf: bdf, stream: stream, iova: pageIOVA, pte: entry})
+	u.tlbInsert(key, entry)
 	return entry.phys + mem.Addr(mem.PageOffset(iova)), sim.CostIOMMUWalk, nil
+}
+
+// tlbInsert caches a translation, evicting the oldest one when full.
+func (u *Unit) tlbInsert(key tlbKey, e pte) {
+	if len(u.tlbFIFO) >= iotlbSize {
+		delete(u.tlb, u.tlbFIFO[0])
+		u.tlbFIFO = u.tlbFIFO[1:]
+	}
+	if len(u.tlbFIFO) == cap(u.tlbFIFO) {
+		n := copy(u.tlbBuf[:], u.tlbFIFO)
+		u.tlbFIFO = u.tlbBuf[:n]
+	}
+	u.tlbFIFO = append(u.tlbFIFO, key)
+	u.tlb[key] = e
+}
+
+// tlbDrop evicts every cached translation drop selects, keeping the FIFO
+// order of the rest.
+func (u *Unit) tlbDrop(drop func(tlbKey) bool) {
+	out := u.tlbFIFO[:0]
+	for _, k := range u.tlbFIFO {
+		if drop(k) {
+			delete(u.tlb, k)
+		} else {
+			out = append(out, k)
+		}
+	}
+	u.tlbFIFO = out
 }
 
 func checkPerm(p Perm, write bool) string {
@@ -200,14 +231,8 @@ func (u *Unit) faultQ(bdf pci.BDF, stream int, iova mem.Addr, write bool, reason
 // The caller charges sim.CostIOTLBInvalidate; the paper found per-buffer
 // invalidation "prohibitively expensive" (§3.1.2).
 func (u *Unit) Invalidate(bdf pci.BDF, iova mem.Addr) {
-	pageIOVA := mem.PageAlign(iova)
-	out := u.tlb[:0]
-	for _, e := range u.tlb {
-		if !(e.bdf == bdf && e.iova == pageIOVA) {
-			out = append(out, e)
-		}
-	}
-	u.tlb = out
+	page := mem.PageAlign(iova)
+	u.tlbDrop(func(k tlbKey) bool { return k.bdf == uint64(bdf) && k.page == page })
 }
 
 // RevokePage strips the page at iova from the device's domain — and from
@@ -240,25 +265,13 @@ func (u *Unit) RevokePage(bdf pci.BDF, iova mem.Addr) (mem.Addr, bool) {
 // InvalidateDevice drops all cached translations for a device, every stream
 // included (domain switch, driver restart).
 func (u *Unit) InvalidateDevice(bdf pci.BDF) {
-	out := u.tlb[:0]
-	for _, e := range u.tlb {
-		if e.bdf != bdf {
-			out = append(out, e)
-		}
-	}
-	u.tlb = out
+	u.tlbDrop(func(k tlbKey) bool { return k.bdf == uint64(bdf) })
 }
 
 // InvalidateStream drops all cached translations one stream of a device
 // holds (sub-domain attach/revoke, queue quarantine).
 func (u *Unit) InvalidateStream(bdf pci.BDF, stream int) {
-	out := u.tlb[:0]
-	for _, e := range u.tlb {
-		if !(e.bdf == bdf && e.stream == stream) {
-			out = append(out, e)
-		}
-	}
-	u.tlb = out
+	u.tlbDrop(func(k tlbKey) bool { return k.bdf == uint64(bdf) && k.stream == stream })
 }
 
 // StreamFaults counts logged faults for one stream of a device — the

@@ -1,0 +1,295 @@
+package iommu
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"sud/internal/mem"
+	"sud/internal/pci"
+	"sud/internal/sim"
+)
+
+// linearUnit is the reference IOTLB model: the straightforward unit with
+// the cache as a linear slice scanned on every lookup and evicted FIFO by
+// reslicing. The indexed IOTLB must be indistinguishable from it.
+type linearUnit struct {
+	cfg     Config
+	clock   *sim.Clock
+	domains map[pci.BDF]*Domain
+	qdoms   map[queueKey]*Domain
+	tlb     []linearEntry
+	hits    uint64
+	misses  uint64
+	walks   uint64
+	faults  []Fault
+}
+
+type linearEntry struct {
+	bdf    pci.BDF
+	stream int
+	iova   mem.Addr
+	pte    pte
+}
+
+func (u *linearUnit) fault(bdf pci.BDF, stream int, iova mem.Addr, write bool, reason string) error {
+	f := Fault{When: u.clock.Now(), BDF: bdf, Stream: stream, Addr: iova, Write: write, Reason: reason}
+	u.faults = append(u.faults, f)
+	return f
+}
+
+func (u *linearUnit) translate(bdf pci.BDF, stream int, iova mem.Addr, write bool) (mem.Addr, sim.Duration, error) {
+	dom, ok := u.domains[bdf]
+	if !ok {
+		return 0, 0, u.fault(bdf, stream, iova, write, "no domain attached")
+	}
+	if qd, qok := u.qdoms[queueKey{bdf: bdf, stream: stream}]; qok {
+		dom = qd
+	}
+	if u.cfg.Vendor == VendorIntel && InMSIWindow(iova) {
+		return iova, 0, nil
+	}
+	page := mem.PageAlign(iova)
+	for _, e := range u.tlb {
+		if e.bdf == bdf && e.stream == stream && e.iova == page {
+			u.hits++
+			if err := checkPerm(e.pte.perm, write); err != "" {
+				return 0, 0, u.fault(bdf, stream, iova, write, err)
+			}
+			return e.pte.phys + mem.Addr(mem.PageOffset(iova)), 0, nil
+		}
+	}
+	u.misses++
+	u.walks++
+	entry, present := dom.walk(iova)
+	if !present {
+		return 0, sim.CostIOMMUWalk, u.fault(bdf, stream, iova, write, "not present in IO page table")
+	}
+	if err := checkPerm(entry.perm, write); err != "" {
+		return 0, sim.CostIOMMUWalk, u.fault(bdf, stream, iova, write, err)
+	}
+	if len(u.tlb) >= iotlbSize {
+		u.tlb = u.tlb[1:]
+	}
+	u.tlb = append(u.tlb, linearEntry{bdf: bdf, stream: stream, iova: page, pte: entry})
+	return entry.phys + mem.Addr(mem.PageOffset(iova)), sim.CostIOMMUWalk, nil
+}
+
+func (u *linearUnit) drop(match func(linearEntry) bool) {
+	out := u.tlb[:0]
+	for _, e := range u.tlb {
+		if !match(e) {
+			out = append(out, e)
+		}
+	}
+	u.tlb = out
+}
+
+func (u *linearUnit) invalidate(bdf pci.BDF, iova mem.Addr) {
+	page := mem.PageAlign(iova)
+	u.drop(func(e linearEntry) bool { return e.bdf == bdf && e.iova == page })
+}
+
+func (u *linearUnit) revokePage(bdf pci.BDF, iova mem.Addr) (mem.Addr, bool) {
+	dom, ok := u.domains[bdf]
+	if !ok {
+		return 0, false
+	}
+	page := mem.PageAlign(iova)
+	phys, ok := dom.RevokePage(page)
+	for k, qd := range u.qdoms {
+		if k.bdf == bdf {
+			if p, qok := qd.RevokePage(page); qok && !ok {
+				phys, ok = p, true
+			}
+		}
+	}
+	if !ok {
+		return 0, false
+	}
+	u.invalidate(bdf, iova)
+	return phys, true
+}
+
+func (u *linearUnit) attach(bdf pci.BDF, dom *Domain) {
+	if dom == nil {
+		delete(u.domains, bdf)
+	} else {
+		u.domains[bdf] = dom
+	}
+	u.drop(func(e linearEntry) bool { return e.bdf == bdf })
+}
+
+func (u *linearUnit) attachQueue(bdf pci.BDF, stream int, dom *Domain) {
+	if stream == 0 {
+		return
+	}
+	k := queueKey{bdf: bdf, stream: stream}
+	if dom == nil {
+		delete(u.qdoms, k)
+	} else {
+		u.qdoms[k] = dom
+	}
+	u.drop(func(e linearEntry) bool { return e.bdf == bdf && e.stream == stream })
+}
+
+// twinDomains keeps two identical page tables, one per unit, so page
+// revocation in one unit cannot leak into the other's walks.
+type twinDomains struct{ real, ref []*Domain }
+
+func (d *twinDomains) add(u *Unit, passthrough bool) {
+	r, l := u.NewDomain(), NewDomain(len(d.ref)+1000)
+	r.Passthrough, l.Passthrough = passthrough, passthrough
+	d.real, d.ref = append(d.real, r), append(d.ref, l)
+}
+
+func (d *twinDomains) mapPage(i int, iova, phys mem.Addr, perm Perm) {
+	if (d.real[i].Map(iova, phys, perm) == nil) != (d.ref[i].Map(iova, phys, perm) == nil) {
+		panic("twin domains diverged")
+	}
+}
+
+func (d *twinDomains) unmap(i int, iova mem.Addr) {
+	d.real[i].Unmap(iova)
+	d.ref[i].Unmap(iova)
+}
+
+// Property: random translate / invalidate / revoke / attach / sub-domain
+// traffic produces the same translations, latencies, hit, miss and walk
+// counts and fault log from the indexed IOTLB as from the linear model.
+func TestIOTLBMatchesLinearModel(t *testing.T) {
+	bdfs := []pci.BDF{devA, devB}
+	perms := []Perm{PermRead, PermWrite, PermRW}
+	for _, vendor := range []Vendor{VendorIntel, VendorAMD} {
+		for seed := uint64(1); seed <= 20; seed++ {
+			clock := &sim.Clock{}
+			u := New(Config{Vendor: vendor}, clock)
+			ref := &linearUnit{cfg: u.Cfg, clock: clock,
+				domains: map[pci.BDF]*Domain{}, qdoms: map[queueKey]*Domain{}}
+			doms := &twinDomains{}
+			for i := 0; i < 4; i++ {
+				doms.add(u, i == 3)
+			}
+			rnd := sim.NewRand(seed)
+			// 96 pages: more than the IOTLB holds, so eviction is exercised.
+			iova := func() mem.Addr {
+				if rnd.Intn(50) == 0 {
+					return MSIBase + mem.Addr(rnd.Intn(16))
+				}
+				return mem.Addr(0x10000000 + rnd.Intn(96)*mem.PageSize + rnd.Intn(mem.PageSize))
+			}
+			// Every domain maps an IOVA to the same frame: RevokePage
+			// reports the frame of whichever sub-domain it visits first,
+			// in map order, so frames that differ by domain would make
+			// both models nondeterministic.
+			frame := func(a mem.Addr) mem.Addr { return a + 0x30000000 }
+			for i := range doms.real[:3] {
+				for p := 0; p < 96; p++ {
+					if rnd.Intn(4) != 0 {
+						a := mem.Addr(0x10000000 + p*mem.PageSize)
+						doms.mapPage(i, a, frame(a), perms[rnd.Intn(3)])
+					}
+				}
+			}
+			for op := 0; op < 3000; op++ {
+				clock.Advance(1)
+				bdf := bdfs[rnd.Intn(len(bdfs))]
+				stream := rnd.Intn(3)
+				what := ""
+				switch r := rnd.Intn(100); {
+				case r < 70:
+					a, write := iova(), rnd.Intn(2) == 0
+					gp, gl, ge := u.TranslateQ(bdf, stream, a, write)
+					wp, wl, we := ref.translate(bdf, stream, a, write)
+					if gp != wp || gl != wl || fmt.Sprint(ge) != fmt.Sprint(we) {
+						t.Fatalf("%v seed %d op %d: TranslateQ(%s, %d, %#x, %v) = %#x %v %v, model %#x %v %v",
+							vendor, seed, op, bdf, stream, uint64(a), write, uint64(gp), gl, ge, uint64(wp), wl, we)
+					}
+					what = "translate"
+				case r < 76:
+					a := iova()
+					u.Invalidate(bdf, a)
+					ref.invalidate(bdf, a)
+					what = "invalidate"
+				case r < 80:
+					u.InvalidateStream(bdf, stream)
+					ref.drop(func(e linearEntry) bool { return e.bdf == bdf && e.stream == stream })
+					what = "invalidate stream"
+				case r < 82:
+					u.InvalidateDevice(bdf)
+					ref.drop(func(e linearEntry) bool { return e.bdf == bdf })
+					what = "invalidate device"
+				case r < 86:
+					a := iova()
+					gp, gok := u.RevokePage(bdf, a)
+					wp, wok := ref.revokePage(bdf, a)
+					if gp != wp || gok != wok {
+						t.Fatalf("%v seed %d op %d: RevokePage = %#x %v, model %#x %v", vendor, seed, op, uint64(gp), gok, uint64(wp), wok)
+					}
+					what = "revoke"
+				case r < 89:
+					i := rnd.Intn(len(doms.real) + 1)
+					if i == len(doms.real) {
+						u.Attach(bdf, nil)
+						ref.attach(bdf, nil)
+					} else {
+						u.Attach(bdf, doms.real[i])
+						ref.attach(bdf, doms.ref[i])
+					}
+					what = "attach"
+				case r < 93:
+					i := rnd.Intn(len(doms.real) + 1)
+					if i == len(doms.real) {
+						u.AttachQueue(bdf, stream, nil)
+						ref.attachQueue(bdf, stream, nil)
+					} else {
+						u.AttachQueue(bdf, stream, doms.real[i])
+						ref.attachQueue(bdf, stream, doms.ref[i])
+					}
+					what = "attach queue"
+				case r < 97:
+					// Unmap without an invalidation: the IOTLB keeps
+					// serving the stale translation, in both models.
+					doms.unmap(rnd.Intn(3), iova())
+					what = "unmap"
+				default:
+					a := mem.PageAlign(iova())
+					doms.mapPage(rnd.Intn(3), a, frame(a), perms[rnd.Intn(3)])
+					what = "map"
+				}
+				gh, gm := u.TLBStats()
+				if gh != ref.hits || gm != ref.misses || u.Walks() != ref.walks {
+					t.Fatalf("%v seed %d op %d (%s): hits/misses/walks %d/%d/%d, model %d/%d/%d",
+						vendor, seed, op, what, gh, gm, u.Walks(), ref.hits, ref.misses, ref.walks)
+				}
+				if len(u.tlbFIFO) != len(ref.tlb) || len(u.tlb) != len(ref.tlb) {
+					t.Fatalf("%v seed %d op %d (%s): %d/%d cached, model %d",
+						vendor, seed, op, what, len(u.tlbFIFO), len(u.tlb), len(ref.tlb))
+				}
+			}
+			if !reflect.DeepEqual(u.Faults(), ref.faults) {
+				t.Fatalf("%v seed %d: fault logs differ (%d vs %d entries)", vendor, seed, len(u.Faults()), len(ref.faults))
+			}
+		}
+	}
+}
+
+func TestIOTLBEvictionDoesNotAllocate(t *testing.T) {
+	u := newUnit(Config{Vendor: VendorAMD})
+	d := u.NewDomain()
+	d.Passthrough = true
+	u.Attach(devA, d)
+	page := 0
+	next := func() {
+		page++
+		if _, _, err := u.Translate(devA, mem.Addr(page*mem.PageSize), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4*iotlbSize; i++ {
+		next() // grow the map and the FIFO window to their working size
+	}
+	if allocs := testing.AllocsPerRun(1000, next); allocs != 0 {
+		t.Fatalf("a missing translation allocates %.1f times, want 0", allocs)
+	}
+}

@@ -87,6 +87,10 @@ type ConfigSpace struct {
 
 	msiBase int // offset of the MSI capability, 0 if absent
 
+	// gen counts mutations. Anything decoded from the space (the fabric's
+	// BAR windows) is valid only while gen is unchanged.
+	gen uint64
+
 	// OnMSIChange, if set, is invoked whenever a write lands in the MSI
 	// capability (the interrupt subsystem watches mask/enable changes).
 	OnMSIChange func()
@@ -102,6 +106,7 @@ func NewConfigSpace(vendor, device uint16, class uint8) *ConfigSpace {
 }
 
 func (c *ConfigSpace) putU16(off int, v uint16) {
+	c.gen++
 	c.raw[off] = byte(v)
 	c.raw[off+1] = byte(v >> 8)
 }
@@ -111,6 +116,7 @@ func (c *ConfigSpace) u16(off int) uint16 {
 }
 
 func (c *ConfigSpace) putU32(off int, v uint32) {
+	c.gen++
 	for i := 0; i < 4; i++ {
 		c.raw[off+i] = byte(v >> (8 * i))
 	}
@@ -133,6 +139,7 @@ func (c *ConfigSpace) SetBAR(i int, base uint64, size uint64, io bool) {
 	if size&(size-1) != 0 || size == 0 {
 		panic("pci: BAR size must be a power of two")
 	}
+	c.gen++
 	c.bars[i] = BARInfo{Size: size, IO: io}
 	v := uint32(base)
 	if io {
@@ -161,6 +168,7 @@ func (c *ConfigSpace) AddMSICapability() int {
 			panic("pci: config space capability area full")
 		}
 	}
+	c.gen++
 	c.raw[base] = CapIDMSI
 	c.raw[base+1] = c.raw[CfgCapPtr] // chain in front
 	c.raw[CfgCapPtr] = byte(base)
@@ -268,6 +276,7 @@ func (c *ConfigSpace) Write(off, size int, v uint32) {
 		}
 		return
 	}
+	c.gen++
 	for i := 0; i < size; i++ {
 		c.raw[off+i] = byte(v >> (8 * i))
 	}

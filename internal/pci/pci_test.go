@@ -402,3 +402,83 @@ func TestFabricRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// wantMMIO asserts FindMMIO's answer for addr: the device and offset, or
+// no match when dev is nil.
+func wantMMIO(t *testing.T, rc *RootComplex, addr mem.Addr, dev Device, off uint64) {
+	t.Helper()
+	got, bar, o, ok := rc.FindMMIO(addr)
+	if dev == nil {
+		if ok {
+			t.Fatalf("FindMMIO(%#x) matched %s BAR%d+%#x, want no match", uint64(addr), got.BDF(), bar, o)
+		}
+		return
+	}
+	if !ok || got != dev || bar != 0 || o != off {
+		t.Fatalf("FindMMIO(%#x) = %v BAR%d+%#x %v, want %s BAR0+%#x", uint64(addr), got, bar, o, ok, dev.BDF(), off)
+	}
+}
+
+// The BAR decode FindMMIO memoizes must follow every config change at once.
+func TestFindMMIOSeesBARReprogram(t *testing.T) {
+	rc, _, a, _, _ := buildFabric(ACS{})
+	wantMMIO(t, rc, 0xFEB00010, a, 0x10)
+	if err := rc.ConfigWrite(a.BDF(), CfgBAR0, 4, 0xFEC00000); err != nil {
+		t.Fatal(err)
+	}
+	wantMMIO(t, rc, 0xFEB00010, nil, 0)
+	wantMMIO(t, rc, 0xFEC00010, a, 0x10)
+}
+
+func TestFindMMIOSeesSizeProbe(t *testing.T) {
+	rc, _, a, _, _ := buildFabric(ACS{})
+	wantMMIO(t, rc, 0xFEB00010, a, 0x10)
+	// While the BAR holds the size mask it decodes to that base (as the
+	// uncached walk did); restoring the base brings the old window back.
+	if err := rc.ConfigWrite(a.BDF(), CfgBAR0, 4, 0xFFFFFFFF); err != nil {
+		t.Fatal(err)
+	}
+	wantMMIO(t, rc, 0xFEB00010, nil, 0)
+	wantMMIO(t, rc, 0xFFFFF010, a, 0x10)
+	if err := rc.ConfigWrite(a.BDF(), CfgBAR0, 4, 0xFEB00000); err != nil {
+		t.Fatal(err)
+	}
+	wantMMIO(t, rc, 0xFEB00010, a, 0x10)
+}
+
+func TestFindMMIOSeesMemorySpaceDisable(t *testing.T) {
+	rc, _, a, _, _ := buildFabric(ACS{})
+	wantMMIO(t, rc, 0xFEB00010, a, 0x10)
+	if err := rc.ConfigWrite(a.BDF(), CfgCommand, 2, CmdBusMaster); err != nil {
+		t.Fatal(err)
+	}
+	wantMMIO(t, rc, 0xFEB00010, nil, 0)
+	if err := rc.ConfigWrite(a.BDF(), CfgCommand, 2, CmdMemSpace|CmdBusMaster); err != nil {
+		t.Fatal(err)
+	}
+	wantMMIO(t, rc, 0xFEB00010, a, 0x10)
+}
+
+func TestFindMMIOSeesLateAttach(t *testing.T) {
+	rc, sw, _, _, _ := buildFabric(ACS{})
+	wantMMIO(t, rc, 0xFEB20010, nil, 0)
+	c := newFakeDev(MakeBDF(1, 2, 0), 0xFEB20000)
+	sw.AttachDevice(c)
+	wantMMIO(t, rc, 0xFEB20010, c, 0x10)
+	// A device below a switch attached later, then one attached to that
+	// switch after first use, both show up too.
+	leaf := NewSwitch("leaf", ACS{})
+	d := newFakeDev(MakeBDF(2, 0, 0), 0xFEB30000)
+	leaf.AttachDevice(d)
+	sw.AttachSwitch(leaf)
+	wantMMIO(t, rc, 0xFEB30010, d, 0x10)
+	e := newFakeDev(MakeBDF(2, 1, 0), 0xFEB40000)
+	leaf.AttachDevice(e)
+	wantMMIO(t, rc, 0xFEB40010, e, 0x10)
+	if got, err := rc.DeviceByBDF(e.BDF()); err != nil || got != Device(e) {
+		t.Fatalf("DeviceByBDF(%s) = %v, %v", e.BDF(), got, err)
+	}
+	if n := len(rc.Devices()); n != 5 {
+		t.Fatalf("enumerated %d devices, want 5", n)
+	}
+}

@@ -35,6 +35,12 @@ type Switch struct {
 	parent Port // toward the root; nil for the switch directly under the root
 	ports  []*downPort
 
+	// gen counts attaches at or below this switch; devPorts is the
+	// depth-first list of device ports below it, valid while devGen == gen.
+	gen      uint64
+	devGen   uint64
+	devPorts []*downPort
+
 	// DroppedTLPs counts TLPs discarded by source validation.
 	DroppedTLPs uint64
 }
@@ -43,6 +49,19 @@ type downPort struct {
 	sw    *Switch
 	dev   Device
 	child *Switch
+
+	// The memoized decode of dev's enabled memory BARs: valid while dev's
+	// config space is decCfg and its write generation is still decGen.
+	decCfg *ConfigSpace
+	decGen uint64
+	nwin   int
+	win    [6]barWindow
+}
+
+// barWindow is one decoded memory BAR: [base, base+size).
+type barWindow struct {
+	bar        int
+	base, size uint64
 }
 
 // Upstream implements Port for a child switch: TLPs from the child arrive at
@@ -60,6 +79,7 @@ func NewSwitch(name string, acs ACS) *Switch {
 func (s *Switch) AttachDevice(dev Device) {
 	p := &downPort{sw: s, dev: dev}
 	s.ports = append(s.ports, p)
+	s.topologyChanged()
 	dev.Attach(p)
 }
 
@@ -68,18 +88,43 @@ func (s *Switch) AttachSwitch(child *Switch) {
 	p := &downPort{sw: s, child: child}
 	s.ports = append(s.ports, p)
 	child.parent = p
+	s.topologyChanged()
+}
+
+// topologyChanged bumps the generation of s and every switch above it.
+func (s *Switch) topologyChanged() {
+	for sw := s; sw != nil; {
+		sw.gen++
+		up, ok := sw.parent.(*downPort)
+		if !ok {
+			break
+		}
+		sw = up.sw
+	}
+}
+
+// devicePorts returns the ports of every device below s, depth-first.
+func (s *Switch) devicePorts() []*downPort {
+	if s.devGen != s.gen {
+		var ps []*downPort
+		for _, p := range s.ports {
+			if p.dev != nil {
+				ps = append(ps, p)
+			}
+			if p.child != nil {
+				ps = append(ps, p.child.devicePorts()...)
+			}
+		}
+		s.devPorts, s.devGen = ps, s.gen
+	}
+	return s.devPorts
 }
 
 // Devices returns the devices below this switch, depth-first.
 func (s *Switch) Devices() []Device {
 	var out []Device
-	for _, p := range s.ports {
-		if p.dev != nil {
-			out = append(out, p.dev)
-		}
-		if p.child != nil {
-			out = append(out, p.child.Devices()...)
-		}
+	for _, p := range s.devicePorts() {
+		out = append(out, p.dev)
 	}
 	return out
 }
@@ -91,8 +136,8 @@ func portOwns(p *downPort, requester BDF) bool {
 		return p.dev.BDF() == requester
 	}
 	if p.child != nil {
-		for _, d := range p.child.Devices() {
-			if d.BDF() == requester {
+		for _, d := range p.child.devicePorts() {
+			if d.dev.BDF() == requester {
 				return true
 			}
 		}
@@ -119,7 +164,7 @@ func (s *Switch) fromDownstream(src *downPort, tlp TLP) Completion {
 				continue
 			}
 			if p.dev != nil {
-				if bar, off, ok := barContaining(p.dev, tlp.Addr); ok {
+				if bar, off, ok := p.barContaining(tlp.Addr); ok {
 					return deliverMMIO(p.dev, bar, off, tlp)
 				}
 			}
@@ -132,22 +177,35 @@ func (s *Switch) fromDownstream(src *downPort, tlp TLP) Completion {
 	return s.parent.Upstream(tlp)
 }
 
-// barContaining locates the memory BAR of dev that contains addr.
-func barContaining(dev Device, addr mem.Addr) (bar int, off uint64, ok bool) {
-	cfg := dev.Config()
+// barContaining locates the memory BAR of the port's device that contains
+// addr. The BAR decode is redone only after a config-space write.
+func (p *downPort) barContaining(addr mem.Addr) (bar int, off uint64, ok bool) {
+	if cfg := p.dev.Config(); cfg != p.decCfg || cfg.gen != p.decGen {
+		p.decode(cfg)
+	}
+	a := uint64(addr)
+	for _, w := range p.win[:p.nwin] {
+		if a >= w.base && a < w.base+w.size {
+			return w.bar, a - w.base, true
+		}
+	}
+	return 0, 0, false
+}
+
+// decode records cfg's enabled, implemented, placed memory BARs.
+func (p *downPort) decode(cfg *ConfigSpace) {
+	p.decCfg, p.decGen, p.nwin = cfg, cfg.gen, 0
 	if cfg.Read(CfgCommand, 2)&CmdMemSpace == 0 {
-		return 0, 0, false
+		return
 	}
 	for i := 0; i < 6; i++ {
 		base, info := cfg.BAR(i)
 		if info.Size == 0 || info.IO || base == 0 {
 			continue
 		}
-		if uint64(addr) >= base && uint64(addr) < base+info.Size {
-			return i, uint64(addr) - base, true
-		}
+		p.win[p.nwin] = barWindow{bar: i, base: base, size: info.Size}
+		p.nwin++
 	}
-	return 0, 0, false
 }
 
 // DeliverMMIO turns a routed TLP into register accesses on the target
@@ -223,9 +281,9 @@ func (rc *RootComplex) Devices() []Device { return rc.root.Devices() }
 
 // DeviceByBDF finds a device by its address.
 func (rc *RootComplex) DeviceByBDF(bdf BDF) (Device, error) {
-	for _, d := range rc.Devices() {
-		if d.BDF() == bdf {
-			return d, nil
+	for _, p := range rc.root.devicePorts() {
+		if p.dev.BDF() == bdf {
+			return p.dev, nil
 		}
 	}
 	return nil, fmt.Errorf("pci: no device at %s", bdf)
@@ -234,9 +292,9 @@ func (rc *RootComplex) DeviceByBDF(bdf BDF) (Device, error) {
 // FindMMIO locates the device and BAR containing physical address addr, for
 // CPU-initiated MMIO dispatch.
 func (rc *RootComplex) FindMMIO(addr mem.Addr) (dev Device, bar int, off uint64, ok bool) {
-	for _, d := range rc.Devices() {
-		if b, o, found := barContaining(d, addr); found {
-			return d, b, o, true
+	for _, p := range rc.root.devicePorts() {
+		if b, o, found := p.barContaining(addr); found {
+			return p.dev, b, o, true
 		}
 	}
 	return nil, 0, 0, false

@@ -27,7 +27,6 @@ func Fig5Components() []Fig5Component {
 		{Name: "Ethernet proxy driver", Dirs: []string{"internal/proxy/ethproxy"}, PaperLoC: 300},
 		{Name: "Wireless proxy driver", Dirs: []string{"internal/proxy/wifiproxy"}, PaperLoC: 600},
 		{Name: "Audio card proxy driver", Dirs: []string{"internal/proxy/audioproxy"}, PaperLoC: 550},
-		{Name: "USB host proxy driver", Dirs: []string{"internal/proxy/usbproxy"}, PaperLoC: 0},
 		// The block class is beyond the paper (its prototype had no
 		// storage drivers); the paper column is 0 by construction.
 		{Name: "Block proxy driver", Dirs: []string{"internal/proxy/blkproxy"}, PaperLoC: 0},
@@ -85,16 +84,13 @@ func CountLoC(dir string) (int, error) {
 	return total, err
 }
 
-// RunFig5 measures every component from the module root.
+// RunFig5 measures every component from the module root. A component
+// directory that does not exist is an error, not a zero row.
 func RunFig5(root string) ([]Fig5Component, error) {
 	comps := Fig5Components()
 	for i := range comps {
 		for _, d := range comps[i].Dirs {
-			full := filepath.Join(root, filepath.FromSlash(d))
-			if _, err := os.Stat(full); os.IsNotExist(err) {
-				continue
-			}
-			n, err := CountLoC(full)
+			n, err := CountLoC(filepath.Join(root, filepath.FromSlash(d)))
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,8 @@
 package report
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -39,8 +41,10 @@ func TestFig5CountsComponents(t *testing.T) {
 	if byName["Safe PCI device access module"] == 0 {
 		t.Fatal("pciaccess counted as zero lines")
 	}
-	if byName["USB host proxy driver"] != 0 {
-		t.Fatal("USB host proxy should be zero lines (it has no proxy)")
+	for name, loc := range byName {
+		if loc == 0 {
+			t.Fatalf("%s counted as zero lines", name)
+		}
 	}
 	if byName["SUD-UML runtime"] < byName["Ethernet proxy driver"] {
 		t.Fatal("runtime should dominate a proxy driver, as in the paper")
@@ -48,6 +52,22 @@ func TestFig5CountsComponents(t *testing.T) {
 	out := FormatFig5(comps)
 	if !strings.Contains(out, "Figure 5") || !strings.Contains(out, "2800") {
 		t.Fatalf("format output:\n%s", out)
+	}
+}
+
+// Every Figure 5 row must name directories that exist: a row for a
+// package that is not there would print a phantom zero.
+func TestFig5ComponentDirsExist(t *testing.T) {
+	root, err := ModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range Fig5Components() {
+		for _, d := range c.Dirs {
+			if fi, err := os.Stat(filepath.Join(root, filepath.FromSlash(d))); err != nil || !fi.IsDir() {
+				t.Errorf("Figure 5 row %q names %s, which is not a directory", c.Name, d)
+			}
+		}
 	}
 }
 

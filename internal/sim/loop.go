@@ -1,58 +1,58 @@
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
-// Event is a scheduled callback. Events fire in timestamp order; ties are
-// broken by scheduling order so the simulation is fully deterministic.
+// Event is a handle to a scheduled callback, returned by Loop.At and
+// Loop.After. It is a small value: copy it freely. The zero Event refers to
+// nothing and reads as cancelled. A handle outlives its event harmlessly:
+// once the event fires or is cancelled the loop recycles the slot, and the
+// handle's generation no longer matches, so it can neither cancel nor
+// observe whatever event reuses the slot next.
 type Event struct {
-	At  Time
-	Fn  func()
+	n   *eventNode
+	gen uint64
+}
+
+// Cancelled reports whether the event was cancelled or already dispatched
+// (an event reads as dispatched from the moment its callback starts).
+func (e Event) Cancelled() bool { return e.n == nil || e.n.gen != e.gen }
+
+// eventNode is a queue slot. Nodes are recycled through the loop's free
+// list; gen advances every time a node leaves the queue, which is what
+// invalidates outstanding handles to it.
+type eventNode struct {
+	fn  func()
+	gen uint64
+	pos int // index in Loop.heap while queued
+}
+
+// heapEntry is one queued event: its (at, seq) sort key sits inline so
+// sifting compares keys without chasing pointers.
+type heapEntry struct {
+	at  Time
 	seq uint64
-	idx int // heap index; -1 once popped or cancelled
+	n   *eventNode
 }
 
-// Cancelled reports whether the event was cancelled or already dispatched.
-func (e *Event) Cancelled() bool { return e.idx == -1 && e.Fn == nil }
-
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].At != q[j].At {
-		return q[i].At < q[j].At
+func (a *heapEntry) less(b *heapEntry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].idx = i
-	q[j].idx = j
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.idx = len(*q)
-	*q = append(*q, e)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.idx = -1
-	*q = old[:n-1]
-	return e
+	return a.seq < b.seq
 }
 
 // Loop is the discrete event loop that drives an entire simulated machine.
 // It is single-threaded by design: determinism matters more than parallelism
 // for reproducing microsecond-scale measurements.
+//
+// Events fire in (timestamp, scheduling order) order, so the simulation is
+// fully deterministic. The queue is a 4-ary min-heap over that key; nodes
+// are pooled, so scheduling in steady state allocates nothing.
 type Loop struct {
 	Clock Clock
 
-	queue   eventQueue
+	heap    []heapEntry
+	free    []*eventNode
 	nextSeq uint64
 	stopped bool
 
@@ -67,21 +67,30 @@ func (l *Loop) Now() Time { return l.Clock.Now() }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics — it would mean the model lost causality.
-func (l *Loop) At(t Time, fn func()) *Event {
+func (l *Loop) At(t Time, fn func()) Event {
 	if fn == nil {
 		panic("sim: scheduling nil event func")
 	}
 	if t < l.Clock.Now() {
 		panic(fmt.Sprintf("sim: scheduling event in the past (%v < %v)", t, l.Clock.Now()))
 	}
-	e := &Event{At: t, Fn: fn, seq: l.nextSeq}
+	var n *eventNode
+	if k := len(l.free); k > 0 {
+		n = l.free[k-1]
+		l.free = l.free[:k-1]
+	} else {
+		n = &eventNode{}
+	}
+	n.fn = fn
+	n.pos = len(l.heap)
+	l.heap = append(l.heap, heapEntry{at: t, seq: l.nextSeq, n: n})
 	l.nextSeq++
-	heap.Push(&l.queue, e)
-	return e
+	l.up(n.pos)
+	return Event{n: n, gen: n.gen}
 }
 
 // After schedules fn to run d nanoseconds from now.
-func (l *Loop) After(d Duration, fn func()) *Event {
+func (l *Loop) After(d Duration, fn func()) Event {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: scheduling event with negative delay %d", d))
 	}
@@ -89,18 +98,17 @@ func (l *Loop) After(d Duration, fn func()) *Event {
 }
 
 // Cancel removes a pending event. Cancelling an already-fired or
-// already-cancelled event is a harmless no-op.
-func (l *Loop) Cancel(e *Event) {
-	if e == nil || e.idx == -1 {
+// already-cancelled event, or the zero Event, is a harmless no-op.
+func (l *Loop) Cancel(e Event) {
+	if e.Cancelled() {
 		return
 	}
-	heap.Remove(&l.queue, e.idx)
-	e.idx = -1
-	e.Fn = nil
+	l.remove(e.n.pos)
+	l.release(e.n)
 }
 
 // Pending reports the number of events waiting to fire.
-func (l *Loop) Pending() int { return len(l.queue) }
+func (l *Loop) Pending() int { return len(l.heap) }
 
 // Dispatched reports how many events have fired since the loop was created.
 func (l *Loop) Dispatched() uint64 { return l.dispatched }
@@ -111,13 +119,14 @@ func (l *Loop) Stop() { l.stopped = true }
 // Step dispatches the single earliest pending event, advancing the clock to
 // its timestamp. It reports false if the queue was empty.
 func (l *Loop) Step() bool {
-	if len(l.queue) == 0 {
+	if len(l.heap) == 0 {
 		return false
 	}
-	e := heap.Pop(&l.queue).(*Event)
-	l.Clock.advanceTo(e.At)
-	fn := e.Fn
-	e.Fn = nil
+	top := l.heap[0]
+	l.remove(0)
+	fn := top.n.fn
+	l.release(top.n)
+	l.Clock.advanceTo(top.at)
 	l.dispatched++
 	fn()
 	return true
@@ -136,7 +145,7 @@ func (l *Loop) Run() {
 func (l *Loop) RunUntil(deadline Time) {
 	l.stopped = false
 	for !l.stopped {
-		if len(l.queue) == 0 || l.queue[0].At > deadline {
+		if len(l.heap) == 0 || l.heap[0].at > deadline {
 			break
 		}
 		l.Step()
@@ -148,3 +157,73 @@ func (l *Loop) RunUntil(deadline Time) {
 
 // RunFor runs the loop for d nanoseconds of virtual time from now.
 func (l *Loop) RunFor(d Duration) { l.RunUntil(l.Clock.Now() + d) }
+
+// release retires a node that left the queue: its handles go stale and it
+// returns to the free list.
+func (l *Loop) release(n *eventNode) {
+	n.fn = nil
+	n.gen++
+	l.free = append(l.free, n)
+}
+
+// remove deletes heap entry i, keeping the heap ordered.
+func (l *Loop) remove(i int) {
+	last := len(l.heap) - 1
+	l.heap[i] = l.heap[last]
+	l.heap[i].n.pos = i
+	l.heap[last] = heapEntry{}
+	l.heap = l.heap[:last]
+	if i < last && !l.down(i) {
+		l.up(i)
+	}
+}
+
+// up sifts entry i toward the root.
+func (l *Loop) up(i int) {
+	h := l.heap
+	e := h[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !e.less(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].n.pos = i
+		i = p
+	}
+	h[i] = e
+	e.n.pos = i
+}
+
+// down sifts entry i toward the leaves, reporting whether it moved.
+func (l *Loop) down(i0 int) bool {
+	h := l.heap
+	n := len(h)
+	i := i0
+	e := h[i]
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		for j := c + 1; j < end; j++ {
+			if h[j].less(&h[m]) {
+				m = j
+			}
+		}
+		if !h[m].less(&e) {
+			break
+		}
+		h[i] = h[m]
+		h[i].n.pos = i
+		i = m
+	}
+	h[i] = e
+	e.n.pos = i
+	return i > i0
+}

@@ -61,7 +61,7 @@ type conn struct {
 	inflight  uint64 // outstanding request id, 0 = idle
 	firstSent sim.Time
 	lastReq   []byte
-	rtoEv     *sim.Event
+	rtoEv     sim.Event
 }
 
 // NewClient builds the tenant population for cfg; Start begins the load.
@@ -194,10 +194,7 @@ func (cn *conn) onReply(resp kvserve.Response) {
 		return
 	}
 	cn.inflight = 0
-	if cn.rtoEv != nil {
-		cn.c.loop.Cancel(cn.rtoEv)
-		cn.rtoEv = nil
-	}
+	cn.c.loop.Cancel(cn.rtoEv)
 	cn.t.Lat.Record(cn.c.loop.Now() - cn.firstSent)
 	cn.t.Replies++
 	cn.c.loop.After(cn.c.turnaround, cn.issue)

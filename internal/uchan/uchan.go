@@ -162,15 +162,15 @@ type Chan struct {
 
 	state     int
 	pollStart sim.Time
-	pollEvent *sim.Event
-	wakeEvent *sim.Event
+	pollEvent sim.Event
+	wakeEvent sim.Event
 
 	// Adaptive spin state: EWMA of drain-end→next-arrival gaps.
 	drainEnd sim.Time
 	gapEWMA  sim.Duration
 
 	// lazyEvent is the pending deferred doorbell, if any.
-	lazyEvent *sim.Event
+	lazyEvent sim.Event
 
 	// lastDrainUrgent reports whether the most recent drain serviced an
 	// interrupt-class message; only then does the idle thread extend its
@@ -282,7 +282,7 @@ func (c *Chan) asend(m Msg, urgent bool) error {
 		return nil
 	}
 	// Sleeping driver, non-urgent message: defer the doorbell.
-	if c.lazyEvent == nil || c.lazyEvent.Cancelled() {
+	if c.lazyEvent.Cancelled() {
 		c.lazyEvent = c.loop.After(LazyDoorbell, func() {
 			if !c.dead && !c.Hung && len(c.k2u) > 0 {
 				c.scheduleService()
@@ -375,7 +375,7 @@ func (c *Chan) spinBudget() sim.Duration {
 func (c *Chan) scheduleService() {
 	switch c.state {
 	case stateSleeping:
-		if c.wakeEvent != nil && !c.wakeEvent.Cancelled() {
+		if !c.wakeEvent.Cancelled() {
 			return // wake already in flight
 		}
 		c.observeGap()
