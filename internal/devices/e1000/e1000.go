@@ -182,14 +182,21 @@ type NIC struct {
 	regs map[uint64]uint32
 	tr   *trace.Tracer
 
-	// TX engine state, one engine per hardware queue.
+	// TX engine state, one engine per hardware queue. Each engine fetches
+	// descriptors and payloads into its own staging buffers; the link
+	// takes its own copy of a sent frame.
 	txActive    [MaxTxQueues]bool
 	txBusyUntil [MaxTxQueues]sim.Time
+	txStepFn    [MaxTxQueues]func()
+	txDesc      [MaxTxQueues][DescSize]byte
+	txBuf       [MaxTxQueues][ethlink.MaxFrame]byte
 
 	// RX engine state, one engine (and packet FIFO) per hardware queue.
 	rxQueue     [MaxRxQueues][][]byte // frames awaiting ring placement
 	rxActive    [MaxRxQueues]bool
 	rxBusyUntil [MaxRxQueues]sim.Time
+	rxStepFn    [MaxRxQueues]func()
+	rxDesc      [MaxRxQueues][DescSize]byte
 
 	// Interrupt moderation.
 	lastIntAt  sim.Time
@@ -216,6 +223,12 @@ func New(loop *sim.Loop, bdf pci.BDF, barBase uint64, macAddr [6]byte, p Params)
 		params: p,
 		mac:    macAddr,
 		regs:   make(map[uint64]uint32),
+	}
+	for q := range n.txStepFn {
+		n.txStepFn[q] = func() { n.txStep(q) }
+	}
+	for q := range n.rxStepFn {
+		n.rxStepFn[q] = func() { n.rxStep(q) }
 	}
 	cfg := pci.NewConfigSpace(0x8086, 0x10D3, 0x02) // 82574L, class = network
 	cfg.SetBAR(0, barBase, BARSize, false)
@@ -502,7 +515,7 @@ func (n *NIC) kickTx(q int) {
 	if now := n.loop.Now(); start < now {
 		start = now
 	}
-	n.loop.At(start, func() { n.txStep(q) })
+	n.loop.At(start, n.txStepFn[q])
 }
 
 // txStep processes one TX descriptor on queue q, then reschedules itself
@@ -519,7 +532,8 @@ func (n *NIC) txStep(q int) {
 	descAddr := n.txBase(q) + mem.Addr(head*DescSize)
 	engine := n.params.TxPerPacket
 
-	desc, err := n.DMAReadQ(q+1, descAddr, DescSize)
+	desc := n.txDesc[q][:]
+	err := n.DMAReadQ(q+1, descAddr, desc)
 	engine += sim.DMA(DescSize)
 	if err != nil {
 		n.DMAFaults++
@@ -531,7 +545,8 @@ func (n *NIC) txStep(q int) {
 	cmd := desc[11]
 
 	if length > 0 && length <= ethlink.MaxFrame {
-		payload, err := n.DMAReadQ(q+1, bufAddr, length)
+		payload := n.txBuf[q][:length]
+		err := n.DMAReadQ(q+1, bufAddr, payload)
 		engine += sim.DMA(length)
 		if err != nil {
 			n.DMAFaults++
@@ -565,7 +580,7 @@ func (n *NIC) advanceTxHead(q int, engine sim.Duration) {
 	n.txBusyUntil[q] += engine
 	if n.regs[hdOff] != n.regs[tlOff] {
 		n.txActive[q] = true
-		n.loop.At(n.txBusyUntil[q], func() { n.txStep(q) })
+		n.loop.At(n.txBusyUntil[q], n.txStepFn[q])
 	}
 }
 
@@ -633,7 +648,7 @@ func (n *NIC) kickRx(q int) {
 	if now := n.loop.Now(); start < now {
 		start = now
 	}
-	n.loop.At(start, func() { n.rxStep(q) })
+	n.loop.At(start, n.rxStepFn[q])
 }
 
 // rxStep processes one received frame on ring q, then reschedules itself
@@ -661,7 +676,8 @@ func (n *NIC) rxStep(q int) {
 
 	engine := n.params.RxPerPacket
 	descAddr := n.rxBase(q) + mem.Addr(head*DescSize)
-	desc, err := n.DMAReadQ(q+1, descAddr, DescSize)
+	desc := n.rxDesc[q][:]
+	err := n.DMAReadQ(q+1, descAddr, desc)
 	engine += sim.DMA(DescSize)
 	if err != nil {
 		n.DMAFaults++
@@ -703,7 +719,7 @@ func (n *NIC) finishRx(q int, engine sim.Duration) {
 	n.rxBusyUntil[q] += engine
 	if len(n.rxQueue[q]) > 0 {
 		n.rxActive[q] = true
-		n.loop.At(n.rxBusyUntil[q], func() { n.rxStep(q) })
+		n.loop.At(n.rxBusyUntil[q], n.rxStepFn[q])
 	}
 }
 

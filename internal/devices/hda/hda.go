@@ -143,11 +143,11 @@ func (c *Codec) consumePeriod() {
 	pb := c.regs[RegPeriodBytes]
 	buflen := c.regs[RegBufLen]
 	base := mem.Addr(uint64(c.regs[RegBufHi])<<32 | uint64(c.regs[RegBufLo]))
-	data, err := c.DMARead(base+mem.Addr(c.pos), int(pb))
-	if err != nil {
+	n := len(c.Played)
+	c.Played = append(c.Played, make([]byte, pb)...)
+	if err := c.DMAReadQ(0, base+mem.Addr(c.pos), c.Played[n:]); err != nil {
 		c.DMAFaults++
-	} else {
-		c.Played = append(c.Played, data...)
+		c.Played = c.Played[:n]
 	}
 	c.pos = (c.pos + pb) % buflen
 	c.Periods++

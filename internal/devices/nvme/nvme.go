@@ -278,6 +278,17 @@ type Ctrl struct {
 	// inline).
 	engineActive    [1 + MaxIOQueues]bool
 	engineBusyUntil [1 + MaxIOQueues]sim.Time
+	// step is each I/O queue's engine event callback, built once.
+	step [1 + MaxIOQueues]func()
+
+	// DMA staging: SQEs and write payloads are fetched here before the
+	// controller acts on them, so a fetch that faults leaves media and
+	// cache exactly as a fetch into a fresh buffer would. Admin commands
+	// run inline from a doorbell write and fetch into their own SQE
+	// buffer.
+	adminSQE [SQESize]byte
+	ioSQE    [SQESize]byte
+	stage    [BlockSize]byte
 
 	// intPending latches per-CQ completion causes awaiting MSI delivery.
 	intPending uint32
@@ -328,6 +339,9 @@ func New(loop *sim.Loop, bdf pci.BDF, barBase uint64, p Params) *Ctrl {
 	cfg.SetBAR(0, barBase, BARSize, false)
 	cfg.AddMSICapability()
 	c.InitFunc(bdf, cfg)
+	for qid := range c.step {
+		c.step[qid] = func() { c.ioStep(qid) }
+	}
 	cfg.OnMSIChange = func() {
 		if !cfg.MSI().Masked {
 			c.maybeInterrupt()
@@ -706,7 +720,8 @@ func (c *Ctrl) maybeInterrupt() {
 
 func (c *Ctrl) adminStep() {
 	sq := &c.sq[0]
-	sqe, err := c.DMARead(sq.base+mem.Addr(sq.head*SQESize), SQESize)
+	sqe := c.adminSQE[:]
+	err := c.DMAReadQ(0, sq.base+mem.Addr(sq.head*SQESize), sqe)
 	sq.head = (sq.head + 1) % sq.size
 	if err != nil {
 		c.DMAFaults++
@@ -842,7 +857,7 @@ func (c *Ctrl) kickEngine(qid int) {
 	if now := c.loop.Now(); start < now {
 		start = now
 	}
-	c.loop.At(start, func() { c.ioStep(qid) })
+	c.loop.At(start, c.step[qid])
 }
 
 // ioStep processes one I/O command on queue qid, then reschedules itself
@@ -854,7 +869,8 @@ func (c *Ctrl) ioStep(qid int) {
 	if !sq.created || sq.head == c.regs[SQDoorbell(qid)] {
 		return
 	}
-	sqe, err := c.DMAReadQ(qid, sq.base+mem.Addr(sq.head*SQESize), SQESize)
+	sqe := c.ioSQE[:]
+	err := c.DMAReadQ(qid, sq.base+mem.Addr(sq.head*SQESize), sqe)
 	engine := c.params.CmdOverhead + sim.DMA(SQESize)
 	if err != nil {
 		c.DMAFaults++
@@ -951,7 +967,8 @@ func (c *Ctrl) execRW(qid int, sqe []byte, write bool, engine *sim.Duration) uin
 		if cached {
 			dst = make([]byte, BlockSize)
 		}
-		chunk, err := c.DMAReadQ(qid, prp1, first)
+		chunk := c.stage[:first]
+		err := c.DMAReadQ(qid, prp1, chunk)
 		*engine += sim.DMA(first)
 		if err != nil {
 			c.DMAFaults++
@@ -960,7 +977,8 @@ func (c *Ctrl) execRW(qid int, sqe []byte, write bool, engine *sim.Duration) uin
 		}
 		copy(dst, chunk)
 		if rest > 0 {
-			chunk, err = c.DMAReadQ(qid, prp2, rest)
+			chunk = c.stage[first:BlockSize]
+			err = c.DMAReadQ(qid, prp2, chunk)
 			*engine += sim.DMA(rest)
 			if err != nil {
 				c.DMAFaults++
@@ -1031,7 +1049,7 @@ func (c *Ctrl) finishIO(qid int, engine sim.Duration) {
 	sq := &c.sq[qid]
 	if sq.created && sq.head != c.regs[SQDoorbell(qid)] {
 		c.engineActive[qid] = true
-		c.loop.At(c.engineBusyUntil[qid], func() { c.ioStep(qid) })
+		c.loop.At(c.engineBusyUntil[qid], c.step[qid])
 	}
 }
 

@@ -242,8 +242,9 @@ func (n *NIC) transmit(length int) {
 		return
 	}
 	buf := mem.Addr(uint64(n.regs[RegTxBufHi])<<32 | uint64(n.regs[RegTxBufLo]))
-	frame, err := n.DMARead(buf, length)
-	if err != nil {
+	// The frame goes on air after txAirTime, so it needs its own buffer.
+	frame := make([]byte, length)
+	if err := n.DMAReadQ(0, buf, frame); err != nil {
 		n.DMAFaults++
 		n.assertCause(IntTxDone)
 		return

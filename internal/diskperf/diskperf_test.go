@@ -1,6 +1,7 @@
 package diskperf
 
 import (
+	"runtime"
 	"testing"
 
 	"sud/internal/hw"
@@ -104,5 +105,54 @@ func TestKillRecoveryInvisible(t *testing.T) {
 	}
 	if res.Completed < 1000 {
 		t.Fatalf("only %d requests completed (workload did not resume)", res.Completed)
+	}
+}
+
+// TestCopyGuardReadLoopAllocatesLittle: under the copy guard every read
+// payload lands in its queue's reused landing buffer, and the device and
+// the driver fetch into staging buffers, so a Q=4 SUD read loop allocates
+// far less than one block per read on the host.
+func TestCopyGuardReadLoopAllocatesLittle(t *testing.T) {
+	tb, err := NewTestbed(ModeSUD, 4, hw.DefaultPlatform())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const outstanding, want = 64, 10000
+	reads := 0
+	stopped := false
+	var issue func(seq uint64)
+	issue = func(seq uint64) {
+		lba := (seq * 13) % tb.Dev.Geom.Blocks
+		if err := tb.Dev.ReadAt(lba, func(_ []byte, err error) {
+			if err != nil {
+				t.Errorf("read %d: %v", lba, err)
+				return
+			}
+			reads++
+			if !stopped {
+				issue(seq + outstanding)
+			}
+		}); err != nil {
+			t.Fatalf("submit %d: %v", lba, err)
+		}
+	}
+	for s := uint64(0); s < outstanding; s++ {
+		issue(s)
+	}
+	tb.M.Loop.RunFor(sim.Millisecond) // warm every pool and map
+	start := reads
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tb.M.Loop.RunFor(30 * sim.Millisecond)
+	runtime.ReadMemStats(&after)
+	stopped = true
+	n := reads - start
+	if n < want {
+		t.Fatalf("only %d reads completed in the measured span", n)
+	}
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / float64(n); per >= 1024 {
+		t.Fatalf("%.0f host bytes allocated per read over %d reads, want < 1024", per, n)
+	} else {
+		t.Logf("%.0f host bytes allocated per read over %d reads", per, n)
 	}
 }

@@ -70,7 +70,9 @@ type BlockKernel interface {
 	// payload (nil for writes or failures). Under SUD only a shared-buffer
 	// reference crosses the channel; the proxy validates it against the
 	// driver's own DMA allocations and guard-copies it before the kernel
-	// sees the bytes (§3.1.2 applied to storage).
+	// sees the bytes (§3.1.2 applied to storage). data is borrowed for the
+	// call: the kernel neither keeps nor modifies it, and the caller may
+	// reuse the buffer once Complete returns.
 	Complete(q int, tag uint64, err error, data []byte)
 	// WakeQueueQ re-enables submission on one stopped queue.
 	WakeQueueQ(q int)

@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"errors"
 	"testing"
 
 	"sud/internal/iommu"
@@ -73,9 +74,78 @@ func TestDMAThroughDomain(t *testing.T) {
 	if b[0] != 0xCA || b[1] != 0xFE {
 		t.Fatalf("DRAM contains % x", b)
 	}
-	got, err := d.DMARead(0x40000042, 2)
-	if err != nil || got[0] != 0xCA {
+	got := make([]byte, 2)
+	if err := d.DMAReadQ(0, 0x40000042, got); err != nil || got[0] != 0xCA {
 		t.Fatalf("DMA read: % x, %v", got, err)
+	}
+}
+
+// TestDMAReadFillsCallerBuffer pins the read contract on both routes: the
+// completion lands in the caller's buffer whether the IOVA resolves to DRAM
+// or (through an explicit grant) to a peer device's BAR, and an IOMMU miss
+// returns the fault without touching memory.
+func TestDMAReadFillsCallerBuffer(t *testing.T) {
+	m, a := build(DefaultPlatform())
+	b := newTestDev(pci.MakeBDF(1, 1, 0), 0xFEB10000)
+	m.AttachDevice(b)
+	dom := m.IOMMU.NewDomain()
+	phys, _ := m.Alloc.AllocPages(1)
+	if err := dom.Map(0x40000000, phys, iommu.PermRW); err != nil {
+		t.Fatal(err)
+	}
+	if err := dom.Map(0xFEB10000, 0xFEB10000, iommu.PermRW); err != nil {
+		t.Fatal(err)
+	}
+	m.IOMMU.Attach(a.BDF(), dom)
+
+	m.Mem.MustWrite(phys+0x10, []byte{1, 2, 3, 4, 5, 6})
+	dst := make([]byte, 6)
+	if err := a.DMAReadQ(0, 0x40000010, dst); err != nil {
+		t.Fatal(err)
+	}
+	if string(dst) != "\x01\x02\x03\x04\x05\x06" {
+		t.Fatalf("memory route filled % x", dst)
+	}
+
+	copy(b.regs[0x20:], []byte{0xA0, 0xA1, 0xA2, 0xA3, 0xA4, 0xA5})
+	if err := a.DMAReadQ(0, 0xFEB10020, dst); err != nil {
+		t.Fatal(err)
+	}
+	if string(dst) != "\xA0\xA1\xA2\xA3\xA4\xA5" {
+		t.Fatalf("peer-to-peer route filled % x", dst)
+	}
+
+	before := m.DMAErrors
+	dst = []byte{0xEE, 0xEE}
+	err := a.DMAReadQ(0, 0x50000000, dst)
+	var fault iommu.Fault
+	if !errors.As(err, &fault) {
+		t.Fatalf("IOMMU miss returned %v, want an iommu.Fault", err)
+	}
+	if m.DMAErrors != before+1 || dst[0] != 0xEE || dst[1] != 0xEE {
+		t.Fatalf("IOMMU miss: errors %d→%d, dst % x", before, m.DMAErrors, dst)
+	}
+}
+
+// TestDMAReadAllocatesNothing: a steady-state DMA read over the memory route
+// completes into the caller's buffer without a host allocation.
+func TestDMAReadAllocatesNothing(t *testing.T) {
+	m, d := build(DefaultPlatform())
+	dom := m.IOMMU.NewDomain()
+	phys, _ := m.Alloc.AllocPages(2)
+	for i := mem.Addr(0); i < 2; i++ {
+		if err := dom.Map(0x40000000+i*mem.PageSize, phys+i*mem.PageSize, iommu.PermRW); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.IOMMU.Attach(d.BDF(), dom)
+	dst := make([]byte, mem.PageSize)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := d.DMAReadQ(0, 0x40000800, dst); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("DMA read allocated %.1f times per call", allocs)
 	}
 }
 
@@ -118,7 +188,7 @@ func TestMSIWindowWriteRaisesInterrupt(t *testing.T) {
 func TestMSIWindowReadRejected(t *testing.T) {
 	m, d := build(DefaultPlatform())
 	m.IOMMU.Attach(d.BDF(), m.IOMMU.NewDomain())
-	if _, err := d.DMARead(0xFEE00000, 4); err == nil {
+	if err := d.DMAReadQ(0, 0xFEE00000, make([]byte, 4)); err == nil {
 		t.Fatal("read from MSI window succeeded")
 	}
 	if m.DMAErrors == 0 {

@@ -238,7 +238,9 @@ func (u *Unit) Invalidate(bdf pci.BDF, iova mem.Addr) {
 // RevokePage strips the page at iova from the device's domain — and from
 // any per-queue sub-domain that maps it — in a single walk each, and drops
 // every cached IOTLB translation for it, returning the physical page the
-// mapping named. The walk cost (sim.CostPageFlipRevoke) and the
+// mapping named: the device domain's, or, when only sub-domains map the
+// page, the lowest stream's, so the answer never depends on map order. The
+// walk cost (sim.CostPageFlipRevoke) and the
 // batch-amortised shootdown (sim.CostIOTLBShootdown) are charged by the
 // caller, which knows how many pages share one shootdown.
 func (u *Unit) RevokePage(bdf pci.BDF, iova mem.Addr) (mem.Addr, bool) {
@@ -248,13 +250,16 @@ func (u *Unit) RevokePage(bdf pci.BDF, iova mem.Addr) (mem.Addr, bool) {
 	}
 	page := mem.PageAlign(iova)
 	phys, ok := dom.RevokePage(page)
+	qstream := -1
 	for k, qd := range u.qdoms {
-		if k.bdf == bdf {
-			if p, qok := qd.RevokePage(page); qok && !ok {
-				phys, ok = p, true
-			}
+		if k.bdf != bdf {
+			continue
+		}
+		if p, qok := qd.RevokePage(page); qok && !ok && (qstream < 0 || k.stream < qstream) {
+			phys, qstream = p, k.stream
 		}
 	}
+	ok = ok || qstream >= 0
 	if !ok {
 		return 0, false
 	}

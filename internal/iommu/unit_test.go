@@ -293,3 +293,30 @@ func TestIOTLBEvictionDoesNotAllocate(t *testing.T) {
 		t.Fatalf("a missing translation allocates %.1f times, want 0", allocs)
 	}
 }
+
+// TestRevokePageLowestStreamWins: when only per-queue sub-domains map a
+// page, and they name different frames, RevokePage reports the frame of the
+// lowest stream, every time.
+func TestRevokePageLowestStreamWins(t *testing.T) {
+	u := New(Config{Vendor: VendorIntel}, &sim.Clock{})
+	u.Attach(devA, u.NewDomain())
+	q1, q2, q3 := u.NewDomain(), u.NewDomain(), u.NewDomain()
+	u.AttachQueue(devA, 3, q3)
+	u.AttachQueue(devA, 1, q1)
+	u.AttachQueue(devA, 2, q2)
+	const iova = mem.Addr(0x10000000)
+	for i := 0; i < 100; i++ {
+		for j, d := range []*Domain{q3, q2} {
+			if err := d.Map(iova, mem.Addr(0x200000+j*mem.PageSize), PermRW); err != nil {
+				t.Fatal(err)
+			}
+		}
+		phys, ok := u.RevokePage(devA, iova+0x10)
+		if !ok || phys != 0x200000+mem.PageSize {
+			t.Fatalf("call %d: RevokePage = %#x, %v; want stream 2's frame %#x", i, phys, ok, 0x200000+mem.PageSize)
+		}
+		if q2.Pages() != 0 || q3.Pages() != 0 {
+			t.Fatalf("call %d: revoke left %d/%d sub-domain pages mapped", i, q2.Pages(), q3.Pages())
+		}
+	}
+}

@@ -540,12 +540,16 @@ func QueueForLBA(lba uint64, nq int) int {
 }
 
 // ReadAt reads the block at lba, steering by LBA hash; cb receives the
-// payload (or an error) when the driver completes.
+// payload (or an error) when the driver completes. The payload is borrowed
+// for the call: its buffer is reused once cb returns (the proxy's per-queue
+// guard landing buffer, a recycled page-flip page, or the trusted driver's
+// DMA slot), so a callback that keeps the bytes copies them.
 func (d *Dev) ReadAt(lba uint64, cb func([]byte, error)) error {
 	return d.ReadAtQ(lba, QueueForLBA(lba, len(d.queues)), cb)
 }
 
-// ReadAtQ reads the block at lba on an explicit queue.
+// ReadAtQ reads the block at lba on an explicit queue. Like ReadAt, cb
+// borrows the payload for the call only.
 func (d *Dev) ReadAtQ(lba uint64, q int, cb func([]byte, error)) error {
 	return d.submit(q, api.BlockRequest{LBA: lba}, cb)
 }
@@ -717,7 +721,7 @@ func (d *Dev) dispatch(q int, req api.BlockRequest, cb func([]byte, error)) bool
 // Complete implements api.BlockKernel: request tag finished on queue q. For
 // trusted in-kernel drivers data is the driver's own buffer; the SUD proxy
 // calls the same entry after validating and guard-copying the untrusted
-// reference.
+// reference. data is lent straight to the request's callback.
 func (d *Dev) Complete(q int, tag uint64, err error, data []byte) {
 	r, ok := d.inflight[tag]
 	if !ok {

@@ -469,3 +469,89 @@ func TestChecksumSelfVerifyProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// refL4Checksum is the copy-based reference for l4Checksum: zero the
+// checksum field in a private copy, then sum every word.
+func refL4Checksum(src, dst IP, proto uint8, seg []byte, ckOff int) uint16 {
+	c := append([]byte(nil), seg...)
+	c[ckOff], c[ckOff+1] = 0, 0
+	sum := pseudoSum(src, dst, proto, len(c))
+	for i := 0; i+1 < len(c); i += 2 {
+		sum += uint32(c[i])<<8 | uint32(c[i+1])
+	}
+	if len(c)%2 == 1 {
+		sum += uint32(c[len(c)-1]) << 8
+	}
+	for sum>>16 != 0 {
+		sum = sum&0xFFFF + sum>>16
+	}
+	if ck := ^uint16(sum); ck != 0 {
+		return ck
+	}
+	return 0xFFFF
+}
+
+// Property: summing a segment with its checksum field skipped equals the
+// copy-and-zero reference, for UDP and TCP field offsets, odd and even
+// lengths, and whatever the field currently holds.
+func TestL4ChecksumSkipsFieldProperty(t *testing.T) {
+	r := sim.NewRand(7)
+	for i := 0; i < 2000; i++ {
+		proto, off, min := uint8(ProtoUDP), udpCksumOff, UDPHeaderLen
+		if i%2 == 1 {
+			proto, off, min = ProtoTCP, tcpCksumOff, TCPHeaderLen
+		}
+		seg := make([]byte, min+r.Intn(64))
+		for j := range seg {
+			seg[j] = byte(r.Intn(256))
+		}
+		var src, dst IP
+		for j := range src {
+			src[j], dst[j] = byte(r.Intn(256)), byte(r.Intn(256))
+		}
+		if got, want := l4Checksum(src, dst, proto, seg, off), refL4Checksum(src, dst, proto, seg, off); got != want {
+			t.Fatalf("len %d proto %d: got %#04x, reference %#04x", len(seg), proto, got, want)
+		}
+	}
+}
+
+// TestL4ChecksumZeroReadsAllOnes: when the computed checksum is 0 it is sent
+// as 0xFFFF (RFC 768), and a datagram carrying it verifies.
+func TestL4ChecksumZeroReadsAllOnes(t *testing.T) {
+	src, dst := IP{10, 0, 0, 1}, IP{10, 0, 0, 2}
+	seg := MarshalUDP(nil, src, dst, UDPHeader{SrcPort: 1234, DstPort: 80}, []byte{1, 2, 3, 4, 5})
+	// Search the first payload word for the value that makes the one's
+	// complement sum all ones, i.e. a computed checksum of 0.
+	found := false
+	for v := 0; v < 1<<16 && !found; v++ {
+		seg[8], seg[9] = byte(v>>8), byte(v)
+		if refL4Checksum(src, dst, ProtoUDP, seg, udpCksumOff) != 0xFFFF {
+			continue
+		}
+		found = true
+		if got := l4Checksum(src, dst, ProtoUDP, seg, udpCksumOff); got != 0xFFFF {
+			t.Fatalf("zero checksum computed as %#04x, want 0xFFFF", got)
+		}
+		seg[6], seg[7] = 0xFF, 0xFF
+		if _, _, err := ParseUDP(src, dst, seg, true); err != nil {
+			t.Fatalf("datagram with checksum 0xFFFF rejected: %v", err)
+		}
+	}
+	if !found {
+		t.Fatal("no payload word yields a zero checksum")
+	}
+}
+
+// TestParseUDPVerifyAllocatesNothing: checksum verification reads the
+// received segment in place.
+func TestParseUDPVerifyAllocatesNothing(t *testing.T) {
+	src, dst := IP{10, 0, 0, 1}, IP{10, 0, 0, 2}
+	seg := MarshalUDP(nil, src, dst, UDPHeader{SrcPort: 1234, DstPort: 80}, bytes.Repeat([]byte{0xA5}, 37))
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := ParseUDP(src, dst, seg, true); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("verified ParseUDP allocated %.1f times per call", allocs)
+	}
+}

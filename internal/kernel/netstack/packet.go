@@ -150,11 +150,21 @@ func pseudoSum(src, dst IP, proto uint8, l4len int) uint32 {
 	return sum
 }
 
-// l4Checksum computes a transport checksum with pseudo-header.
-func l4Checksum(src, dst IP, proto uint8, seg []byte) uint16 {
+// UDP and TCP checksum field offsets within their headers.
+const (
+	udpCksumOff = 6
+	tcpCksumOff = 16
+)
+
+// l4Checksum computes a transport checksum with pseudo-header. The 16-bit
+// checksum field at the even offset ckOff counts as zero, so a received
+// segment is verified in place, without zeroing its field in a copy.
+func l4Checksum(src, dst IP, proto uint8, seg []byte, ckOff int) uint16 {
 	sum := pseudoSum(src, dst, proto, len(seg))
 	for i := 0; i+1 < len(seg); i += 2 {
-		sum += uint32(seg[i])<<8 | uint32(seg[i+1])
+		if i != ckOff {
+			sum += uint32(seg[i])<<8 | uint32(seg[i+1])
+		}
 	}
 	if len(seg)%2 == 1 {
 		sum += uint32(seg[len(seg)-1]) << 8
@@ -183,9 +193,9 @@ func MarshalUDP(dst []byte, src, dstIP IP, h UDPHeader, payload []byte) []byte {
 	dst = binary.BigEndian.AppendUint16(dst, uint16(l))
 	dst = append(dst, 0, 0) // checksum placeholder
 	dst = append(dst, payload...)
-	ck := l4Checksum(src, dstIP, ProtoUDP, dst[start:])
-	dst[start+6] = byte(ck >> 8)
-	dst[start+7] = byte(ck)
+	ck := l4Checksum(src, dstIP, ProtoUDP, dst[start:], udpCksumOff)
+	dst[start+udpCksumOff] = byte(ck >> 8)
+	dst[start+udpCksumOff+1] = byte(ck)
 	return dst
 }
 
@@ -198,23 +208,13 @@ func ParseUDP(src, dstIP IP, seg []byte, verify bool) (UDPHeader, []byte, error)
 	if l < UDPHeaderLen || l > len(seg) {
 		return UDPHeader{}, nil, fmt.Errorf("netstack: UDP length %d out of range", l)
 	}
-	if verify && l4Checksum(src, dstIP, ProtoUDP, zeroCksum(seg[:l], 6)) != binary.BigEndian.Uint16(seg[6:8]) {
+	if verify && l4Checksum(src, dstIP, ProtoUDP, seg[:l], udpCksumOff) != binary.BigEndian.Uint16(seg[6:8]) {
 		return UDPHeader{}, nil, fmt.Errorf("netstack: bad UDP checksum")
 	}
 	return UDPHeader{
 		SrcPort: binary.BigEndian.Uint16(seg[0:2]),
 		DstPort: binary.BigEndian.Uint16(seg[2:4]),
 	}, seg[UDPHeaderLen:l], nil
-}
-
-// zeroCksum returns a copy of seg with the 2-byte checksum field at off
-// zeroed (for verification).
-func zeroCksum(seg []byte, off int) []byte {
-	c := make([]byte, len(seg))
-	copy(c, seg)
-	c[off] = 0
-	c[off+1] = 0
-	return c
 }
 
 // TCPHeader is a TCP header without options.
@@ -236,9 +236,9 @@ func MarshalTCP(dst []byte, src, dstIP IP, h TCPHeader, payload []byte) []byte {
 	dst = binary.BigEndian.AppendUint16(dst, h.Window)
 	dst = append(dst, 0, 0, 0, 0) // checksum + urgent
 	dst = append(dst, payload...)
-	ck := l4Checksum(src, dstIP, ProtoTCP, dst[start:])
-	dst[start+16] = byte(ck >> 8)
-	dst[start+17] = byte(ck)
+	ck := l4Checksum(src, dstIP, ProtoTCP, dst[start:], tcpCksumOff)
+	dst[start+tcpCksumOff] = byte(ck >> 8)
+	dst[start+tcpCksumOff+1] = byte(ck)
 	return dst
 }
 
@@ -251,7 +251,7 @@ func ParseTCP(src, dstIP IP, seg []byte, verify bool) (TCPHeader, []byte, error)
 	if dataOff < TCPHeaderLen || dataOff > len(seg) {
 		return TCPHeader{}, nil, fmt.Errorf("netstack: TCP data offset %d out of range", dataOff)
 	}
-	if verify && l4Checksum(src, dstIP, ProtoTCP, zeroCksum(seg, 16)) != binary.BigEndian.Uint16(seg[16:18]) {
+	if verify && l4Checksum(src, dstIP, ProtoTCP, seg, tcpCksumOff) != binary.BigEndian.Uint16(seg[16:18]) {
 		return TCPHeader{}, nil, fmt.Errorf("netstack: bad TCP checksum")
 	}
 	return TCPHeader{

@@ -13,7 +13,10 @@ type UDPSock struct {
 	RxBytes     uint64
 }
 
-// UDPBind binds a socket to port.
+// UDPBind binds a socket to port. onRecv borrows payload for the call: the
+// frame behind it is reused once onRecv returns (the proxy's per-queue guard
+// landing buffer, or the driver's own buffer), so a handler that keeps the
+// bytes copies them.
 func (s *Stack) UDPBind(port uint16, onRecv func(payload []byte, srcIP IP, srcPort uint16)) (*UDPSock, error) {
 	if _, dup := s.udp[port]; dup {
 		return nil, fmt.Errorf("netstack: UDP port %d in use", port)

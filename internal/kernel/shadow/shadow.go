@@ -58,7 +58,11 @@ type Block struct {
 	Geom api.BlockGeometry
 
 	seq uint64
-	log map[uint64]*PendingBlock // tag → pending request
+	log map[uint64]PendingBlock // tag → pending request
+
+	// free holds write-payload copies whose requests completed, for reuse
+	// by later RecordSubmit calls.
+	free [][]byte
 
 	// Replayed counts requests re-submitted across all recoveries.
 	Replayed uint64
@@ -67,25 +71,50 @@ type Block struct {
 // NewBlock returns an empty block shadow for a device with the given
 // geometry.
 func NewBlock(geom api.BlockGeometry) *Block {
-	return &Block{Geom: geom, log: make(map[uint64]*PendingBlock)}
+	return &Block{Geom: geom, log: make(map[uint64]PendingBlock)}
 }
 
 // RecordSubmit logs one request handed to the driver on queue q. The write
 // payload is copied: the block core's buffer is released on completion, but
-// the log entry must outlive a driver that dies without completing.
+// the log entry must outlive a driver that dies without completing. The
+// copy's buffer comes from the log's free list when one is available.
 func (s *Block) RecordSubmit(q int, req api.BlockRequest) {
 	if req.Data != nil {
-		req.Data = append([]byte(nil), req.Data...)
+		var buf []byte
+		if n := len(s.free); n > 0 && cap(s.free[n-1]) >= len(req.Data) {
+			buf, s.free = s.free[n-1][:len(req.Data)], s.free[:n-1]
+		} else {
+			buf = make([]byte, len(req.Data))
+		}
+		copy(buf, req.Data)
+		req.Data = buf
 	}
-	s.log[req.Tag] = &PendingBlock{Q: q, Req: req, Seq: s.seq}
+	s.log[req.Tag] = PendingBlock{Q: q, Req: req, Seq: s.seq}
 	s.seq++
 }
 
 // RecordComplete erases tag's log entry: its completion was delivered, so a
 // future recovery must not replay it (a write replayed after completing
-// would be harmlessly idempotent, but a read would complete twice).
+// would be harmlessly idempotent, but a read would complete twice). The
+// entry's payload copy returns to the free list.
 func (s *Block) RecordComplete(tag uint64) {
+	p, ok := s.log[tag]
+	if !ok {
+		return
+	}
 	delete(s.log, tag)
+	if p.Req.Data != nil {
+		s.free = append(s.free, p.Req.Data)
+	}
+}
+
+// owned returns p with its own copy of the write payload: a replay schedule
+// outlives log entries whose buffers RecordComplete recycles.
+func owned(p PendingBlock) PendingBlock {
+	if p.Req.Data != nil {
+		p.Req.Data = append([]byte(nil), p.Req.Data...)
+	}
+	return p
 }
 
 // Pending reports the logged in-flight request count.
@@ -93,7 +122,7 @@ func (s *Block) Pending() int { return len(s.log) }
 
 // PendingByQueue returns the log split per queue (clamped to nq queues),
 // each queue's requests in original submission order — the replay schedule.
-// The log itself is untouched: entries leave it only through RecordComplete,
+// The schedule owns its write payloads. The log itself is untouched: entries leave it only through RecordComplete,
 // so a second kill during replay rebuilds the schedule from what is still
 // genuinely unfinished.
 func (s *Block) PendingByQueue(nq int) [][]PendingBlock {
@@ -106,7 +135,7 @@ func (s *Block) PendingByQueue(nq int) [][]PendingBlock {
 		if q < 0 || q >= nq {
 			q = 0
 		}
-		out[q] = append(out[q], *p)
+		out[q] = append(out[q], owned(p))
 	}
 	for q := range out {
 		sortBySeq(out[q])
@@ -118,7 +147,8 @@ func (s *Block) PendingByQueue(nq int) [][]PendingBlock {
 // submission order — the replay schedule for a surgical single-queue
 // recovery. Queue indices are clamped the same way PendingByQueue clamps
 // them, so an entry logged against an out-of-range queue replays on queue 0.
-// Like PendingByQueue this is non-consuming: entries leave the log only
+// Like PendingByQueue the schedule owns its write payloads, and this is
+// non-consuming: entries leave the log only
 // through RecordComplete.
 func (s *Block) PendingForQueue(q, nq int) []PendingBlock {
 	if nq < 1 {
@@ -131,7 +161,7 @@ func (s *Block) PendingForQueue(q, nq int) []PendingBlock {
 			pq = 0
 		}
 		if pq == q {
-			out = append(out, *p)
+			out = append(out, owned(p))
 		}
 	}
 	sortBySeq(out)
@@ -141,7 +171,7 @@ func (s *Block) PendingForQueue(q, nq int) []PendingBlock {
 // Reset drops the log (device unregistered while recovering: the parked
 // requests were failed, so there is nothing left to replay).
 func (s *Block) Reset() {
-	s.log = make(map[uint64]*PendingBlock)
+	s.log = make(map[uint64]PendingBlock)
 }
 
 // sortBySeq orders a replay slice by submission sequence (insertion sort:

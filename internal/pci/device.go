@@ -53,28 +53,25 @@ func (f *FuncBase) Attach(port Port) { f.port = port }
 // Attached reports whether the device has an upstream port.
 func (f *FuncBase) Attached() bool { return f.port != nil }
 
-// DMARead issues an untagged memory read TLP for n bytes at bus address
-// addr. It fails if bus mastering is disabled (the command register gates
-// DMA on real hardware too).
-func (f *FuncBase) DMARead(addr mem.Addr, n int) ([]byte, error) {
-	return f.DMAReadQ(0, addr, n)
-}
-
-// DMAReadQ is DMARead with the issuing hardware queue's stream tag stamped
-// on the TLP (the trusted device silicon stamps it, like the requester BDF),
-// so a per-queue IOMMU sub-domain can confine the access.
-func (f *FuncBase) DMAReadQ(stream int, addr mem.Addr, n int) ([]byte, error) {
+// DMAReadQ issues a memory read TLP for len(dst) bytes at bus address addr
+// and fills dst with the completion; it is the one DMA-read entry point. The
+// issuing hardware queue's stream tag (0 = untagged) is stamped on the TLP (the trusted device silicon stamps it, like the
+// requester BDF), so a per-queue IOMMU sub-domain can confine the access. It
+// fails if bus mastering is disabled (the command register gates DMA on real
+// hardware too).
+//
+// dst is borrowed for the call: the fabric writes into it and keeps no
+// reference. On error its contents are unspecified, so a caller whose
+// destination must stay untouched by a failed read stages it elsewhere.
+func (f *FuncBase) DMAReadQ(stream int, addr mem.Addr, dst []byte) error {
+	tlp := TLP{Type: MemRead, Requester: f.bdf, Stream: stream, Addr: addr, Data: dst}
 	if f.port == nil {
-		return nil, &RouteError{Reason: "device not attached"}
+		return &RouteError{TLP: tlp, Reason: "device not attached"}
 	}
 	if !f.cfg.BusMasterEnabled() {
-		return nil, &RouteError{
-			TLP:    TLP{Type: MemRead, Requester: f.bdf, Stream: stream, Addr: addr, Len: n},
-			Reason: "bus mastering disabled",
-		}
+		return &RouteError{TLP: tlp, Reason: "bus mastering disabled"}
 	}
-	c := f.port.Upstream(TLP{Type: MemRead, Requester: f.bdf, Stream: stream, Addr: addr, Len: n})
-	return c.Data, c.Err
+	return f.port.Upstream(tlp).Err
 }
 
 // DMAWrite issues an untagged memory write TLP.

@@ -35,14 +35,15 @@ type TLP struct {
 	Requester BDF      // stamped by the (trusted) device hardware
 	Stream    int      // PASID-like queue tag, stamped by the issuing hardware queue engine; 0 = untagged
 	Addr      mem.Addr // bus address (IO-virtual once an IOMMU is active)
-	Data      []byte   // payload for MemWrite
-	Len       int      // requested length for MemRead
+	// Data is the payload of a MemWrite. For a MemRead it is the
+	// requester's buffer: its length is the requested length, and the
+	// completer fills it in place.
+	Data []byte
 }
 
 // Completion is the fabric's response to a TLP.
 type Completion struct {
-	Data []byte // read data for MemRead
-	Err  error  // non-nil if the transaction aborted (UR/CA/IOMMU fault)
+	Err error // non-nil if the transaction aborted (UR/CA/IOMMU fault)
 }
 
 // OK reports whether the transaction completed successfully.

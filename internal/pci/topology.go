@@ -232,18 +232,19 @@ func deliverMMIO(dev Device, bar int, off uint64, tlp TLP) Completion {
 		}
 		return Completion{}
 	case MemRead:
-		out := make([]byte, tlp.Len)
-		for i := 0; i < tlp.Len; i += 4 {
+		// The register reads complete into the requester's buffer.
+		out := tlp.Data
+		for i := 0; i < len(out); i += 4 {
 			n := 4
-			if i+n > tlp.Len {
-				n = tlp.Len - i
+			if i+n > len(out) {
+				n = len(out) - i
 			}
 			v := dev.MMIORead(bar, off+uint64(i), n)
 			for j := 0; j < n; j++ {
 				out[i+j] = byte(v >> (8 * j))
 			}
 		}
-		return Completion{Data: out}
+		return Completion{}
 	default:
 		return Completion{Err: &RouteError{TLP: tlp, Reason: "unsupported TLP type"}}
 	}

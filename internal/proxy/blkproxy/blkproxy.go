@@ -30,6 +30,7 @@ import (
 	"sud/internal/drivers/api"
 	"sud/internal/kernel/blockdev"
 	"sud/internal/mem"
+	"sud/internal/proxy/guard"
 	"sud/internal/proxy/pciaccess"
 	"sud/internal/proxy/protocol"
 	"sud/internal/sim"
@@ -122,6 +123,10 @@ type Proxy struct {
 
 	// GuardMode selects the read-payload TOCTOU-guard strategy.
 	GuardMode int
+
+	// landing is each queue's guard-copy destination: a read payload is
+	// copied into it and lent to the completion callback for that call.
+	landing []guard.Landing
 
 	// pendingRecycle holds flipped pages (by IOVA) per queue awaiting the
 	// lazy recycle flush back to the driver.
@@ -217,6 +222,7 @@ func New(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, name str
 		QueueComps:     make([]uint64, q),
 		QueueBatches:   make([]uint64, q),
 		pendingRecycle: make([][]uint64, q),
+		landing:        make([]guard.Landing, q),
 	}
 	for i := 0; i < q; i++ {
 		// Queue i's slots belong to device I/O queue i+1: tagging the
@@ -266,6 +272,7 @@ func NewStandby(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, n
 		QueueComps:     make([]uint64, q),
 		QueueBatches:   make([]uint64, q),
 		pendingRecycle: make([][]uint64, q),
+		landing:        make([]guard.Landing, q),
 	}
 	for i := 0; i < q; i++ {
 		pool, err := df.AllocDMAQ(SlotsPerQueue*geom.BlockSize,
@@ -719,7 +726,7 @@ func (p *Proxy) complete(q int, c CompRef) bool {
 	// Guard copy (§3.1.2): block payloads carry no checksum to fuse with,
 	// so the TOCTOU guard is a plain copy into kernel-owned memory.
 	p.K.Blk.Trace.Event(trace.ClassBlk, q, c.Tag, trace.HopGuard)
-	buf := make([]byte, n)
+	buf := p.landing[q].Take(n)
 	p.K.Acct.Charge(sim.Copy(n))
 	p.GuardCopiedBytes += uint64(n)
 	if err := p.K.Mem.Read(phys, buf); err != nil {

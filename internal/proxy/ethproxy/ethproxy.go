@@ -22,6 +22,7 @@ import (
 
 	"sud/internal/kernel/netstack"
 	"sud/internal/mem"
+	"sud/internal/proxy/guard"
 	"sud/internal/proxy/pciaccess"
 	"sud/internal/proxy/protocol"
 	"sud/internal/sim"
@@ -147,6 +148,10 @@ type Proxy struct {
 	pendingRecycle [][]uint64
 	lent           []map[uint64]bool
 
+	// landing is each RX queue's guard-copy destination: a received frame
+	// is copied into it and lent to the stack for the delivery call.
+	landing []guard.Landing
+
 	// Security / robustness counters.
 	RxInvalidRef uint64 // shared-buffer references outside the driver's memory
 	RxBadLength  uint64
@@ -199,6 +204,7 @@ func New(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, name str
 		RxQueueBatches: make([]uint64, q),
 		pendingRecycle: make([][]uint64, q),
 		lent:           make([]map[uint64]bool, q),
+		landing:        make([]guard.Landing, q),
 	}
 	for i := range p.lent {
 		p.lent[i] = make(map[uint64]bool)
@@ -242,6 +248,7 @@ func NewStandby(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, n
 		RxQueueBatches: make([]uint64, q),
 		pendingRecycle: make([][]uint64, q),
 		lent:           make([]map[uint64]bool, q),
+		landing:        make([]guard.Landing, q),
 	}
 	for i := range p.lent {
 		p.lent[i] = make(map[uint64]bool)
@@ -662,7 +669,7 @@ func (p *Proxy) netifRx(q int, iova mem.Addr, n int) {
 		return
 	}
 	p.K.Net.Trace.Event(trace.ClassNetRx, q, uint64(iova), trace.HopGuard)
-	frame := make([]byte, n)
+	frame := p.landing[q].Take(n)
 	switch p.GuardMode {
 	case GuardSeparate:
 		// Naive: copy pass, then an independent checksum pass.

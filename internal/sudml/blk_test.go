@@ -9,6 +9,7 @@ import (
 	"sud/internal/hw"
 	"sud/internal/kernel"
 	"sud/internal/kernel/blockdev"
+	"sud/internal/mem"
 	"sud/internal/pci"
 	"sud/internal/proxy/blkproxy"
 	"sud/internal/sim"
@@ -126,7 +127,7 @@ func TestSUDBlockForgedCompletionRefRejected(t *testing.T) {
 	var gotErr error
 	completed := false
 	if err := w.dev.ReadAtQ(3, 0, func(data []byte, err error) {
-		got, gotErr, completed = data, err, true
+		got, gotErr, completed = append([]byte(nil), data...), err, true
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -303,4 +304,79 @@ func TestSUDBlockPerQueuePools(t *testing.T) {
 
 func blkPoolLabel(q int) string {
 	return "blk q" + string(rune('0'+q)) + " slot pool"
+}
+
+// TestBatchedReadsEachSeeOwnBlock: several reads on one queue complete in a
+// single OpCompleteBatch, whose guard copies all land in the queue's one
+// landing buffer; each callback must still see its own LBA's bytes.
+func TestBatchedReadsEachSeeOwnBlock(t *testing.T) {
+	w := newBlkWorld(t, 2)
+	const n = 8
+	for lba := uint64(0); lba < n; lba++ {
+		w.ctrl.SeedMedia(lba, block(0x10+byte(lba)))
+	}
+	batches0, comps0 := w.proc.Blk.QueueBatches[0], w.proc.Blk.QueueComps[0]
+	good := 0
+	for lba := uint64(0); lba < n; lba++ {
+		if err := w.dev.ReadAtQ(lba, 0, func(data []byte, err error) {
+			if err != nil || !bytes.Equal(data, block(0x10+byte(lba))) {
+				t.Errorf("LBA %d: err %v, or wrong bytes (%d)", lba, err, len(data))
+				return
+			}
+			good++
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.m.Loop.RunFor(5 * sim.Millisecond)
+	if good != n {
+		t.Fatalf("%d of %d reads delivered their own block", good, n)
+	}
+	batches := w.proc.Blk.QueueBatches[0] - batches0
+	comps := w.proc.Blk.QueueComps[0] - comps0
+	if batches == 0 || comps <= batches {
+		t.Fatalf("%d completions in %d batches: no batch carried two reads", comps, batches)
+	}
+}
+
+// TestDriverStoreAfterCompletionCannotChangeRead: while the read callback
+// holds its payload, the driver (running on another core) overwrites the
+// shared DMA slot the completion named. The callback's bytes are the
+// kernel's guard copy, so the store cannot change them.
+func TestDriverStoreAfterCompletionCannotChangeRead(t *testing.T) {
+	w := newBlkWorld(t, 1)
+	want := block(0x6B)
+	w.ctrl.SeedMedia(4, want)
+	stores := 0
+	var seen []byte
+	if err := w.dev.ReadAtQ(4, 0, func(data []byte, err error) {
+		if err != nil {
+			t.Errorf("read: %v", err)
+			return
+		}
+		slot := make([]byte, nvme.BlockSize)
+		for _, a := range w.proc.DF.Allocs() {
+			for off := 0; off+nvme.BlockSize <= a.Pages*mem.PageSize; off += nvme.BlockSize {
+				phys, err := w.proc.DF.DriverTouch(a.IOVA+mem.Addr(off), nvme.BlockSize, true)
+				if err != nil {
+					continue
+				}
+				w.m.Mem.MustRead(phys, slot)
+				if bytes.Equal(slot, want) {
+					w.m.Mem.MustWrite(phys, block(0xEE))
+					stores++
+				}
+			}
+		}
+		seen = append([]byte(nil), data...)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	w.m.Loop.RunFor(5 * sim.Millisecond)
+	if stores == 0 {
+		t.Fatal("the driver found no shared slot holding the block")
+	}
+	if !bytes.Equal(seen, want) {
+		t.Fatalf("driver store after completion changed the read (%d bytes seen)", len(seen))
+	}
 }

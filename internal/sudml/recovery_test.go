@@ -281,6 +281,79 @@ func TestBlockDoubleKillDuringReplay(t *testing.T) {
 	}
 }
 
+// TestBlockDoubleKillReplaysOriginalWriteBytes: the shadow log's payload
+// copies are recycled as writes complete. The restarted process is killed
+// again after part of its replay has completed, while new writes issued from
+// those completions reuse the freed copies. The second replay must still
+// write every block's original bytes: media reads back what was written.
+func TestBlockDoubleKillReplaysOriginalWriteBytes(t *testing.T) {
+	w := newSupBlkWorld(t, 2)
+	const span = 48
+	first := func(lba uint64) []byte { return block(0x40 + byte(lba)) }
+	second := func(lba uint64) []byte { return block(0x80 + byte(lba)) }
+	done := make(map[uint64]int)
+	errs := 0
+	afterRestart := 0
+	for lba := uint64(0); lba < span; lba++ {
+		if err := w.dev.WriteAt(lba, first(lba), func(err error) {
+			done[lba]++
+			if err != nil {
+				errs++
+				return
+			}
+			if w.sup.Restarts == 1 {
+				afterRestart++
+			}
+			// A new write, logged in a copy recycled from a completed one.
+			if err := w.dev.WriteAt(span+lba, second(lba), func(err error) {
+				done[span+lba]++
+				if err != nil {
+					errs++
+				}
+			}); err != nil {
+				errs++
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.m.Loop.RunFor(30 * sim.Microsecond)
+	pendingAtKill := 0
+	w.sup.OnRestart = func(gen int) {
+		if gen == 1 {
+			w.m.Loop.After(150*sim.Microsecond, func() {
+				pendingAtKill = w.dev.Shadow().Pending()
+				w.sup.Proc().Kill()
+			})
+		}
+	}
+	w.sup.Proc().Kill()
+	w.m.Loop.RunFor(40 * sim.Millisecond)
+
+	if w.sup.Restarts != 2 {
+		t.Fatalf("restarts = %d, want 2", w.sup.Restarts)
+	}
+	if afterRestart == 0 || afterRestart == span || pendingAtKill <= span-afterRestart {
+		t.Fatalf("second kill did not land mid-replay: %d of %d replayed writes completed, %d logged at the kill",
+			afterRestart, span, pendingAtKill)
+	}
+	if errs != 0 {
+		t.Fatalf("%d writes failed", errs)
+	}
+	for lba := uint64(0); lba < 2*span; lba++ {
+		if done[lba] != 1 {
+			t.Fatalf("LBA %d completed %d times, want exactly once", lba, done[lba])
+		}
+		want := first(lba)
+		if lba >= span {
+			want = second(lba - span)
+		}
+		if !bytes.Equal(w.ctrl.PeekMedia(lba), want) {
+			t.Fatalf("LBA %d: media does not hold the bytes written", lba)
+		}
+	}
+}
+
 // TestBlockQuarantineFailsParked: when supervision gives up (crash loop,
 // restart budget exhausted), the parked requests must fail with ErrDown
 // rather than wait forever — and under quarantine the device *survives*,
