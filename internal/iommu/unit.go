@@ -240,9 +240,9 @@ func (u *Unit) Invalidate(bdf pci.BDF, iova mem.Addr) {
 // every cached IOTLB translation for it, returning the physical page the
 // mapping named: the device domain's, or, when only sub-domains map the
 // page, the lowest stream's, so the answer never depends on map order. The
-// walk cost (sim.CostPageFlipRevoke) and the
-// batch-amortised shootdown (sim.CostIOTLBShootdown) are charged by the
-// caller, which knows how many pages share one shootdown.
+// walk cost (sim.CostPageFlipRevoke) and the batch-amortised shootdown
+// (sim.CostIOTLBShootdown) are charged by the caller, which knows how many
+// pages share one shootdown.
 func (u *Unit) RevokePage(bdf pci.BDF, iova mem.Addr) (mem.Addr, bool) {
 	dom, ok := u.domains[bdf]
 	if !ok {

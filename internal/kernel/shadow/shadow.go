@@ -122,9 +122,9 @@ func (s *Block) Pending() int { return len(s.log) }
 
 // PendingByQueue returns the log split per queue (clamped to nq queues),
 // each queue's requests in original submission order — the replay schedule.
-// The schedule owns its write payloads. The log itself is untouched: entries leave it only through RecordComplete,
-// so a second kill during replay rebuilds the schedule from what is still
-// genuinely unfinished.
+// The schedule owns its write payloads. The log itself is untouched:
+// entries leave it only through RecordComplete, so a second kill during
+// replay rebuilds the schedule from what is still genuinely unfinished.
 func (s *Block) PendingByQueue(nq int) [][]PendingBlock {
 	if nq < 1 {
 		nq = 1
@@ -148,8 +148,7 @@ func (s *Block) PendingByQueue(nq int) [][]PendingBlock {
 // recovery. Queue indices are clamped the same way PendingByQueue clamps
 // them, so an entry logged against an out-of-range queue replays on queue 0.
 // Like PendingByQueue the schedule owns its write payloads, and this is
-// non-consuming: entries leave the log only
-// through RecordComplete.
+// non-consuming: entries leave the log only through RecordComplete.
 func (s *Block) PendingForQueue(q, nq int) []PendingBlock {
 	if nq < 1 {
 		nq = 1
