@@ -54,30 +54,23 @@ type DMABuf interface {
 }
 
 // NetDevice is the driver's half of the netdev contract — the
-// net_device_ops table from Figure 2.
+// net_device_ops table from Figure 2. Every device has at least one
+// transmit queue; a single-queue card simply reports one, so queue 0 is
+// just a queue.
 type NetDevice interface {
 	// Open prepares the device for operation (ndo_open: ifconfig up).
 	Open() error
 	// Stop quiesces the device (ndo_stop).
 	Stop() error
-	// StartXmit transmits one Ethernet frame (ndo_start_xmit). The
-	// callee owns the slice.
-	StartXmit(frame []byte) error
+	// TxQueues reports the number of hardware transmit queues (≥ 1).
+	TxQueues() int
+	// StartXmitQ transmits one Ethernet frame on the given queue
+	// (ndo_start_xmit); indices beyond TxQueues()-1 fall back to queue 0.
+	// The callee owns the slice.
+	StartXmitQ(frame []byte, queue int) error
 	// DoIoctl handles device-private ioctls (ndo_do_ioctl), e.g.
 	// SIOCGMIIREG in the paper's example.
 	DoIoctl(cmd uint32, arg []byte) ([]byte, error)
-}
-
-// MultiQueueNetDevice is implemented by drivers whose hardware exposes more
-// than one transmit queue. StartXmit remains the single-queue entry point
-// (queue 0); hosts that are multi-queue aware steer per-flow traffic with
-// StartXmitQ. Queue indices beyond TxQueues()-1 fall back to queue 0.
-type MultiQueueNetDevice interface {
-	NetDevice
-	// TxQueues reports the number of hardware transmit queues.
-	TxQueues() int
-	// StartXmitQ transmits one frame on the given queue.
-	StartXmitQ(frame []byte, queue int) error
 }
 
 // PageRecycler is implemented by page-aware drivers participating in the

@@ -324,13 +324,10 @@ func (n *nic) Stop() error {
 	return nil
 }
 
-// TxQueues implements api.MultiQueueNetDevice.
+// TxQueues implements api.NetDevice.
 func (n *nic) TxQueues() int { return n.queues }
 
-// StartXmit implements ndo_start_xmit on queue 0.
-func (n *nic) StartXmit(frame []byte) error { return n.StartXmitQ(frame, 0) }
-
-// StartXmitQ implements api.MultiQueueNetDevice: fill a descriptor on the
+// StartXmitQ implements ndo_start_xmit: fill a descriptor on the
 // given hardware queue and ring that queue's tail doorbell.
 func (n *nic) StartXmitQ(frame []byte, q int) error {
 	if !n.opened {

@@ -73,7 +73,7 @@ type card struct {
 	opened bool
 
 	// txBusy: a transmit is in flight (the card has one TX buffer).
-	// StartXmit backpressures until the PTX interrupt completes it —
+	// StartXmitQ backpressures until the PTX interrupt completes it —
 	// the driver-side half of the device's TXP busy-time model.
 	txBusy bool
 
@@ -133,11 +133,15 @@ func (n *card) Stop() error {
 	return n.env.FreeIRQ()
 }
 
-// StartXmit implements ndo_start_xmit: PIO-copy the frame into the TX pages
+// TxQueues implements api.NetDevice: the card has one transmit queue.
+func (n *card) TxQueues() int { return 1 }
+
+// StartXmitQ implements ndo_start_xmit: PIO-copy the frame into the TX pages
 // and trigger transmission. The card has a single transmit buffer, so a
 // frame offered while the transmitter is busy backpressures the stack until
-// the PTX interrupt — real ne2k drivers stop the queue the same way.
-func (n *card) StartXmit(frame []byte) error {
+// the PTX interrupt — real ne2k drivers stop the queue the same way. Every
+// queue index names that one queue.
+func (n *card) StartXmitQ(frame []byte, _ int) error {
 	if !n.opened {
 		return fmt.Errorf("ne2k-pci: closed")
 	}

@@ -26,10 +26,9 @@ type mqDev struct {
 	txq map[int][][]byte
 }
 
-func (d *mqDev) Open() error  { return nil }
-func (d *mqDev) Stop() error  { return nil }
+func (d *mqDev) Open() error   { return nil }
+func (d *mqDev) Stop() error   { return nil }
 func (d *mqDev) TxQueues() int { return d.nq }
-func (d *mqDev) StartXmit(f []byte) error { return d.StartXmitQ(f, 0) }
 func (d *mqDev) StartXmitQ(f []byte, q int) error {
 	if d.txq == nil {
 		d.txq = map[int][][]byte{}

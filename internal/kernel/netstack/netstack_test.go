@@ -23,9 +23,10 @@ type loopDev struct {
 	failXmit        bool
 }
 
-func (d *loopDev) Open() error { d.opened = true; return nil }
-func (d *loopDev) Stop() error { d.stopped = true; return nil }
-func (d *loopDev) StartXmit(f []byte) error {
+func (d *loopDev) Open() error   { d.opened = true; return nil }
+func (d *loopDev) Stop() error   { d.stopped = true; return nil }
+func (d *loopDev) TxQueues() int { return 1 }
+func (d *loopDev) StartXmitQ(f []byte, _ int) error {
 	if d.failXmit {
 		return ErrQueueStopped
 	}

@@ -116,7 +116,6 @@ type Iface struct {
 
 	stack *Stack
 	dev   api.NetDevice
-	mqdev api.MultiQueueNetDevice // nil for single-queue devices
 	up    bool
 
 	carrier bool
@@ -148,32 +147,21 @@ var _ api.RecoverableDevice = (*Iface)(nil)
 var ErrNameTaken = fmt.Errorf("netstack: interface name already registered")
 
 // Register adds an interface for a driver's netdev. Names must be unique.
-// Devices implementing api.MultiQueueNetDevice get one queue context per
-// hardware queue; everything else gets exactly one. If an interface is
+// The interface gets one queue context per hardware queue the device
+// reports. If an interface is
 // awaiting adoption (its supervised driver died) and the registration
 // matches it by name or hardware address, the existing interface object is
 // adopted instead: sockets and application handles survive the restart.
 func (s *Stack) Register(name string, macAddr [6]byte, dev api.NetDevice) (*Iface, error) {
 	if ifc := s.adopt(name, macAddr); ifc != nil {
 		ifc.dev = dev
-		ifc.mqdev = nil
-		if mq, ok := dev.(api.MultiQueueNetDevice); ok {
-			ifc.mqdev = mq
-		}
 		return ifc, nil
 	}
 	if _, dup := s.ifaces[name]; dup {
 		return nil, fmt.Errorf("%w: %q", ErrNameTaken, name)
 	}
 	ifc := &Iface{Name: name, MAC: MAC(macAddr), stack: s, dev: dev}
-	nq := 1
-	if mq, ok := dev.(api.MultiQueueNetDevice); ok {
-		ifc.mqdev = mq
-		if n := mq.TxQueues(); n > 1 {
-			nq = n
-		}
-	}
-	ifc.queues = make([]IfaceQueue, nq)
+	ifc.queues = make([]IfaceQueue, max(dev.TxQueues(), 1))
 	for q := range ifc.queues {
 		ifc.queues[q].ID = q
 	}
@@ -304,10 +292,6 @@ func (s *Stack) PromoteStandby(name string) (*Iface, error) {
 	delete(s.standbys, name)
 	delete(s.adopting, name)
 	ifc.dev = dev
-	ifc.mqdev = nil
-	if mq, ok := dev.(api.MultiQueueNetDevice); ok {
-		ifc.mqdev = mq
-	}
 	ifc.Flight.Recordf(trace.FAdopt, "%s adopted by promoted standby", name)
 	return ifc, nil
 }
@@ -694,13 +678,7 @@ func (s *Stack) xmitQ(ifc *Iface, frame []byte, q int) error {
 	if ifc.Shadow != nil {
 		logged = append([]byte(nil), frame...)
 	}
-	var err error
-	if ifc.mqdev != nil {
-		err = ifc.mqdev.StartXmitQ(frame, q)
-	} else {
-		err = ifc.dev.StartXmit(frame)
-	}
-	if err != nil {
+	if err := ifc.dev.StartXmitQ(frame, q); err != nil {
 		// Driver signals ring-full backpressure by error; this queue
 		// stays stopped until WakeQueue — siblings keep transmitting.
 		qc.txStopped = true

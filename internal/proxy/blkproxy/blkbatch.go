@@ -1,6 +1,10 @@
 package blkproxy
 
-import "errors"
+import (
+	"encoding/binary"
+
+	"sud/internal/proxy/protocol"
+)
 
 // Batched completion framing — the block analogue of ethproxy's rxbatch.
 //
@@ -14,17 +18,14 @@ import "errors"
 // counted, never dispatched. DecodeBlkBatch is fuzzed for exactly that
 // reason.
 //
-// Batch layout (little-endian):
-//
-//	[0:2)   completion count
-//	[2:..)  count × { [0:8) tag, [8:10) status, [10:18) buffer IOVA,
-//	                  [18:22) length }
+// Batch layout (little-endian): the protocol batch header (completion
+// count), then count × { [0:8) tag, [8:10) status, [10:18) buffer IOVA,
+// [18:22) length }.
 const (
 	// MaxBlkBatch is the most completions one batch downcall may carry.
 	MaxBlkBatch = 32
 
-	blkBatchHeaderLen = 2
-	blkCompLen        = 22
+	blkCompLen = 22
 )
 
 // CompRef is one I/O completion: the kernel's request tag, the device
@@ -39,75 +40,39 @@ type CompRef struct {
 	Len    uint32
 }
 
-// Batch decode errors.
-var (
-	ErrBatchShort = errors.New("blkproxy: completion batch shorter than header")
-	ErrBatchCount = errors.New("blkproxy: completion batch count out of range")
-	ErrBatchTrunc = errors.New("blkproxy: completion batch truncated")
-	ErrBatchSlack = errors.New("blkproxy: completion batch has trailing bytes")
-)
-
 // EncodeBlkBatch marshals up to MaxBlkBatch completions into batch bytes.
 // Longer slices are truncated to MaxBlkBatch (callers flush at the bound).
 func EncodeBlkBatch(comps []CompRef) []byte {
 	if len(comps) > MaxBlkBatch {
 		comps = comps[:MaxBlkBatch]
 	}
-	buf := make([]byte, blkBatchHeaderLen+blkCompLen*len(comps))
-	buf[0] = byte(len(comps))
-	buf[1] = byte(len(comps) >> 8)
+	buf := protocol.NewBatch(len(comps), blkCompLen)
 	for i, c := range comps {
-		off := blkBatchHeaderLen + blkCompLen*i
-		for b := 0; b < 8; b++ {
-			buf[off+b] = byte(c.Tag >> (8 * b))
-		}
-		buf[off+8] = byte(c.Status)
-		buf[off+9] = byte(c.Status >> 8)
-		for b := 0; b < 8; b++ {
-			buf[off+10+b] = byte(c.IOVA >> (8 * b))
-		}
-		for b := 0; b < 4; b++ {
-			buf[off+18+b] = byte(c.Len >> (8 * b))
-		}
+		rec := buf[protocol.BatchHeaderLen+blkCompLen*i:]
+		binary.LittleEndian.PutUint64(rec, c.Tag)
+		binary.LittleEndian.PutUint16(rec[8:], c.Status)
+		binary.LittleEndian.PutUint64(rec[10:], c.IOVA)
+		binary.LittleEndian.PutUint32(rec[18:], c.Len)
 	}
 	return buf
 }
 
 // DecodeBlkBatch unmarshals batch bytes written by the (untrusted) driver
-// process. It never panics on arbitrary input; malformed batches return an
-// error.
+// process. It never panics on arbitrary input; malformed batches return one
+// of the protocol batch errors.
 func DecodeBlkBatch(buf []byte) ([]CompRef, error) {
-	if len(buf) < blkBatchHeaderLen {
-		return nil, ErrBatchShort
-	}
-	count := int(buf[0]) | int(buf[1])<<8
-	if count == 0 || count > MaxBlkBatch {
-		return nil, ErrBatchCount
-	}
-	want := blkBatchHeaderLen + blkCompLen*count
-	if len(buf) < want {
-		return nil, ErrBatchTrunc
-	}
-	if len(buf) > want {
-		return nil, ErrBatchSlack
+	count, err := protocol.BatchCount(buf, blkCompLen, MaxBlkBatch)
+	if err != nil {
+		return nil, err
 	}
 	comps := make([]CompRef, count)
 	for i := range comps {
-		off := blkBatchHeaderLen + blkCompLen*i
-		var tag, iova uint64
-		for b := 7; b >= 0; b-- {
-			tag = tag<<8 | uint64(buf[off+b])
-			iova = iova<<8 | uint64(buf[off+10+b])
-		}
-		var n uint32
-		for b := 3; b >= 0; b-- {
-			n = n<<8 | uint32(buf[off+18+b])
-		}
+		rec := buf[protocol.BatchHeaderLen+blkCompLen*i:]
 		comps[i] = CompRef{
-			Tag:    tag,
-			Status: uint16(buf[off+8]) | uint16(buf[off+9])<<8,
-			IOVA:   iova,
-			Len:    n,
+			Tag:    binary.LittleEndian.Uint64(rec),
+			Status: binary.LittleEndian.Uint16(rec[8:]),
+			IOVA:   binary.LittleEndian.Uint64(rec[10:]),
+			Len:    binary.LittleEndian.Uint32(rec[18:]),
 		}
 	}
 	return comps, nil

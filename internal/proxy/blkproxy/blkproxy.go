@@ -23,16 +23,14 @@
 package blkproxy
 
 import (
-	"errors"
 	"fmt"
-	"strings"
 
 	"sud/internal/drivers/api"
 	"sud/internal/kernel/blockdev"
 	"sud/internal/mem"
-	"sud/internal/proxy/guard"
 	"sud/internal/proxy/pciaccess"
 	"sud/internal/proxy/protocol"
+	"sud/internal/proxy/qchan"
 	"sud/internal/sim"
 	"sud/internal/trace"
 	"sud/internal/uchan"
@@ -42,22 +40,13 @@ import (
 const (
 	OpOpen   = protocol.BlockBase + iota // sync
 	OpStop                               // sync
-	OpSubmit                             // async; Args: [0]=flags (bit 0 write, bit 1 FUA), [1]=LBA, [2]=payload IOVA, [3]=length, [4]=slot, [5]=tag
+	OpSubmit                             // async; Args: [0]=flags (bit 0 write, bit 1 FUA), [1]=LBA, [2]=payload IOVA, [3]=length, [4]=global slot index, [5]=tag
 	// OpFlush issues a write barrier; Data carries one flushop.go frame
 	// (barrier sequence, epoch, tag). The driver must drain the device's
 	// volatile cache and echo the frame back as OpFlushDone.
 	OpFlush
-	// OpPageRecycle returns flipped read-buffer pages to the driver
-	// (async); Data carries the protocol recycle framing (epoch + page
-	// IOVAs). The pages have been remapped before the upcall is sent, so
-	// the driver may reuse the slots they back immediately.
-	OpPageRecycle
-	// OpQueueEpoch announces a per-queue epoch transition (async); Data
-	// carries the protocol qstate framing. A parked frame tells the
-	// driver runtime one queue is quarantined; an armed frame re-syncs
-	// the runtime at the queue's new epoch, which it must stamp on every
-	// completion it sends for that queue from then on.
-	OpQueueEpoch
+	OpPageRecycle // chassis recycle lane (qchan.Ops)
+	OpQueueEpoch  // chassis qstate frame (qchan.Ops)
 )
 
 // Downcall operations (driver → kernel).
@@ -75,10 +64,7 @@ const (
 	// OpFlushDone completes a flush barrier; Data carries the flushop.go
 	// frame, validated against the proxy's own barrier accounting.
 	OpFlushDone
-	// OpRecycleAck echoes an OpPageRecycle frame back once the driver has
-	// returned the pages to its free pool. Defensively decoded; an ack
-	// carrying a dead incarnation's epoch is stale and rejected.
-	OpRecycleAck
+	OpRecycleAck // chassis recycle lane (qchan.Ops)
 )
 
 // Guard strategies for read-completion payloads. Block data carries no
@@ -106,48 +92,25 @@ const SlotsPerQueue = 64
 
 // Proxy is one block proxy driver instance. The shared-slot pools, the
 // stall/wake state and the completion counters are all per queue, and each
-// queue's pool is its own device-file allocation — a distinct IOMMU-visible
-// object, the groundwork for per-queue IOMMU domains.
+// queue's pool is its own stream-tagged device-file allocation; the
+// per-queue mechanics — epoch fence, park/re-arm, slot pools, recycle lane —
+// are the embedded qchan chassis.
 type Proxy struct {
+	qchan.Chassis
+
 	K   *KernelIface
-	DF  *pciaccess.DeviceFile
-	C   *uchan.MultiChan
 	Dev *blockdev.Dev
 
-	pools   []*pciaccess.Alloc // per-queue slot pools
-	free    [][]int            // per-queue free slot lists (queue-local indices)
-	stalled []bool
-	// tagSlot maps an in-flight tag to its (queue, slot) so completion
+	// tagSlot maps an in-flight tag to its global slot index so completion
 	// releases the right pool entry.
-	tagSlot map[uint64]int // packed q*SlotsPerQueue + slot
+	tagSlot map[uint64]int
 
 	// GuardMode selects the read-payload TOCTOU-guard strategy.
 	GuardMode int
 
-	// landing is each queue's guard-copy destination: a read payload is
-	// copied into it and lent to the completion callback for that call.
-	landing []guard.Landing
-
-	// pendingRecycle holds flipped pages (by IOVA) per queue awaiting the
-	// lazy recycle flush back to the driver.
-	pendingRecycle [][]uint64
-
 	// Per-queue completion counters.
 	QueueComps   []uint64
 	QueueBatches []uint64
-
-	// epoch is the device incarnation this proxy bound at; once the block
-	// core bumps it (driver death → recovery) every downcall still signed
-	// by this proxy is stale and is rejected wholesale.
-	epoch uint64
-
-	// qepoch mirrors each queue's own incarnation epoch as of the last
-	// RearmQueue — the queue-granular sibling of epoch. Between a surgical
-	// quarantine (the block core bumps QueueEpoch) and the re-arm (this
-	// mirror resyncs), the mismatch rejects the queue's completions while
-	// siblings flow; after the re-arm, completions stamped with the dead
-	// incarnation's epoch are rejected by the stamp check.
-	qepoch []uint64
 
 	// Barrier accounting (per device epoch): barrierSeq numbers every
 	// flush upcall this incarnation issued, and inFlightFlush is the one
@@ -180,16 +143,6 @@ type Proxy struct {
 	CompStaleQueueEpoch uint64
 	CompRevokedRef      uint64 // references naming a page the kernel already owns
 	SubmitDropsHung     uint64
-	UpcallErrors        uint64
-
-	// Page-flip accounting (the bench metrics).
-	GuardCopiedBytes uint64 // bytes that went through a guard copy
-	PagesFlipped     uint64
-	Shootdowns       uint64 // batch-amortised IOTLB shootdowns
-	RecycleUpcalls   uint64
-	RecycleAcks      uint64
-	RecycleBadAck    uint64 // malformed ack framing from the driver
-	RecycleStaleAck  uint64 // acks carrying a dead incarnation's epoch
 }
 
 // flushState is the one barrier the driver currently holds.
@@ -212,45 +165,17 @@ type KernelIface struct {
 // device name is taken, the next free name is allocated, as the kernel's
 // block core does — so several storage driver processes coexist.
 func New(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, name string, geom api.BlockGeometry) (*Proxy, error) {
-	q := c.NumQueues()
-	p := &Proxy{
-		K: ki, DF: df, C: c,
-		pools:          make([]*pciaccess.Alloc, q),
-		free:           make([][]int, q),
-		stalled:        make([]bool, q),
-		tagSlot:        make(map[uint64]int),
-		QueueComps:     make([]uint64, q),
-		QueueBatches:   make([]uint64, q),
-		pendingRecycle: make([][]uint64, q),
-		landing:        make([]guard.Landing, q),
-	}
-	for i := 0; i < q; i++ {
-		// Queue i's slots belong to device I/O queue i+1: tagging the
-		// allocation with that stream confines it to the queue's own IOMMU
-		// sub-domain, so a compromised sibling queue's descriptor naming a
-		// slot here faults at the walk. The kernel tags its pools itself —
-		// queue-granular confinement never depends on driver cooperation.
-		pool, err := df.AllocDMAQ(SlotsPerQueue*geom.BlockSize,
-			fmt.Sprintf("blk q%d slot pool", i), false, i+1)
-		if err != nil {
-			return nil, fmt.Errorf("blkproxy: allocating queue %d pool: %w", i, err)
-		}
-		p.pools[i] = pool
-		for s := 0; s < SlotsPerQueue; s++ {
-			p.free[i] = append(p.free[i], s)
-		}
-	}
-	dev, err := registerUnique(ki.Blk, name, geom, (*proxyDev)(p))
+	p, err := newProxy(ki, df, c, geom)
 	if err != nil {
 		return nil, err
 	}
-	ki.DevName = dev.Name
-	p.Dev = dev
-	p.epoch = dev.Epoch()
-	p.qepoch = make([]uint64, q)
-	for i := range p.qepoch {
-		p.qepoch[i] = dev.QueueEpoch(i)
+	dev, err := qchan.RegisterUnique(name, blockdev.ErrNameTaken, func(n string) (*blockdev.Dev, error) {
+		return ki.Blk.Register(n, geom, (*proxyDev)(p))
+	})
+	if err != nil {
+		return nil, err
 	}
+	p.Bind(dev)
 	return p, nil
 }
 
@@ -262,110 +187,63 @@ func New(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, name str
 // does not exist yet. The geometry identity check runs here, inside
 // RegisterStandby.
 func NewStandby(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, name string, geom api.BlockGeometry) (*Proxy, error) {
-	q := c.NumQueues()
-	p := &Proxy{
-		K: ki, DF: df, C: c,
-		pools:          make([]*pciaccess.Alloc, q),
-		free:           make([][]int, q),
-		stalled:        make([]bool, q),
-		tagSlot:        make(map[uint64]int),
-		QueueComps:     make([]uint64, q),
-		QueueBatches:   make([]uint64, q),
-		pendingRecycle: make([][]uint64, q),
-		landing:        make([]guard.Landing, q),
+	p, err := newProxy(ki, df, c, geom)
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < q; i++ {
-		pool, err := df.AllocDMAQ(SlotsPerQueue*geom.BlockSize,
-			fmt.Sprintf("blk q%d slot pool", i), false, i+1)
-		if err != nil {
-			return nil, fmt.Errorf("blkproxy: allocating standby queue %d pool: %w", i, err)
-		}
-		p.pools[i] = pool
-		for s := 0; s < SlotsPerQueue; s++ {
-			p.free[i] = append(p.free[i], s)
-		}
-	}
-	p.qepoch = make([]uint64, q)
 	if err := ki.Blk.RegisterStandby(name, geom, (*proxyDev)(p)); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// Bind attaches a promoted standby proxy to the device it now backs. It
-// must run after the block core's PromoteStandby — the device's epoch has
-// already been bumped by the primary's death, so the standby binds to the
-// NEW incarnation and the dead primary's proxy stays stale.
+// newProxy builds an unbound proxy with SlotsPerQueue block-sized slots per
+// queue.
+func newProxy(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, geom api.BlockGeometry) (*Proxy, error) {
+	q := c.NumQueues()
+	p := &Proxy{
+		K:            ki,
+		tagSlot:      make(map[uint64]int),
+		QueueComps:   make([]uint64, q),
+		QueueBatches: make([]uint64, q),
+	}
+	err := p.Init(ki.Acct, df, c, qchan.Config{
+		Class: "blkproxy", Pool: "blk", SlotsPerQueue: SlotsPerQueue, SlotSize: geom.BlockSize,
+		Ops: qchan.Ops{Open: OpOpen, Stop: OpStop, PageRecycle: OpPageRecycle, QueueEpoch: OpQueueEpoch,
+			RecycleAck: OpRecycleAck, WakeQueue: OpWakeQueue},
+	})
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Bind attaches the proxy to the device it backs. A promoted standby binds
+// after the block core's PromoteStandby — the device's epoch has already
+// been bumped by the primary's death, so the standby binds to the NEW
+// incarnation and the dead primary's proxy stays stale.
 func (p *Proxy) Bind(dev *blockdev.Dev) {
 	p.Dev = dev
-	p.epoch = dev.Epoch()
-	for i := range p.qepoch {
-		p.qepoch[i] = dev.QueueEpoch(i)
-	}
+	p.Attach(dev, dev.WakeQueueQ)
 	p.K.DevName = dev.Name
 }
+
+// StaleEpochDowncalls is the policy plane's zombie-incarnation evidence:
+// downcalls this proxy rejected because the device moved on to a newer
+// driver incarnation.
+func (p *Proxy) StaleEpochDowncalls() uint64 { return p.CompStaleEpoch }
 
 // BarrierViolations is the policy plane's flush-lie evidence: completions
 // the barrier accounting rejected, either for naming no in-flight barrier
 // or for acking one while requests dispatched before it were outstanding.
 func (p *Proxy) BarrierViolations() uint64 { return p.CompBadBarrier + p.CompBarrierEarly }
 
-// registerUnique registers the device under the requested name; on a name
-// collision it substitutes into the name's own template (trailing digits
-// stripped, like "nvme%d") until a free slot is found.
-func registerUnique(blk *blockdev.Manager, name string, geom api.BlockGeometry, dev *proxyDev) (*blockdev.Dev, error) {
-	d, err := blk.Register(name, geom, dev)
-	if err == nil || !errors.Is(err, blockdev.ErrNameTaken) {
-		return d, err
-	}
-	base := strings.TrimRight(name, "0123456789")
-	if base == "" {
-		base = name
-	}
-	for i := 1; i < 16; i++ {
-		d, retryErr := blk.Register(fmt.Sprintf("%s%d", base, i), geom, dev)
-		if retryErr == nil {
-			return d, nil
-		}
-		if !errors.Is(retryErr, blockdev.ErrNameTaken) {
-			return nil, retryErr
-		}
-	}
-	return nil, err
-}
-
 // proxyDev is the block-core-facing half: it satisfies the same BlockDevice
-// contract an in-kernel driver would, by RPC.
+// contract an in-kernel driver would, by RPC (Open and Stop are the
+// chassis's synchronous upcalls).
 type proxyDev Proxy
 
 func (d *proxyDev) p() *Proxy { return (*Proxy)(d) }
-
-// Open forwards the bring-up as a synchronous, interruptible upcall (queue
-// creation sleeps in the driver, like the e1000e's open).
-func (d *proxyDev) Open() error {
-	reply, err := d.p().C.Send(uchan.Msg{Op: OpOpen})
-	if err != nil {
-		d.p().UpcallErrors++
-		return fmt.Errorf("blkproxy: open upcall: %w", err)
-	}
-	if reply.Args[0] != 0 {
-		return fmt.Errorf("blkproxy: driver open failed: %s", reply.Data)
-	}
-	return nil
-}
-
-// Stop forwards quiesce.
-func (d *proxyDev) Stop() error {
-	reply, err := d.p().C.Send(uchan.Msg{Op: OpStop})
-	if err != nil {
-		d.p().UpcallErrors++
-		return fmt.Errorf("blkproxy: stop upcall: %w", err)
-	}
-	if reply.Args[0] != 0 {
-		return fmt.Errorf("blkproxy: driver stop failed: %s", reply.Data)
-	}
-	return nil
-}
 
 // Queues implements api.BlockDevice: one block-core queue context per uchan
 // ring pair.
@@ -377,17 +255,14 @@ func (d *proxyDev) Queues() int { return d.p().C.NumQueues() }
 // backpressure on that queue only, never as a blocked kernel thread.
 func (d *proxyDev) Submit(q int, req api.BlockRequest) error {
 	p := d.p()
-	if q < 0 || q >= len(p.free) {
-		q = 0
-	}
+	q = p.ClampQ(q)
 	if req.Flush {
 		return p.submitFlush(q, req)
 	}
-	if len(p.free[q]) == 0 {
-		p.stalled[q] = true
+	slot, ok := p.NextSlot(q)
+	if !ok {
 		return fmt.Errorf("blkproxy: no free slots on queue %d", q)
 	}
-	slot := p.free[q][len(p.free[q])-1]
 	var flags, iova, n uint64
 	if req.Write {
 		if len(req.Data) != p.Dev.Geom.BlockSize {
@@ -397,11 +272,11 @@ func (d *proxyDev) Submit(q int, req api.BlockRequest) error {
 		if req.FUA {
 			flags |= SubmitFUA
 		}
-		off := mem.Addr(slot * p.Dev.Geom.BlockSize)
-		iova = uint64(p.pools[q].IOVA + off)
+		slotIOVA, phys := p.SlotAddr(slot)
+		iova = uint64(slotIOVA)
 		n = uint64(len(req.Data))
 		p.K.Acct.Charge(sim.Copy(len(req.Data)))
-		if err := p.K.Mem.Write(p.pools[q].Phys+off, req.Data); err != nil {
+		if err := p.K.Mem.Write(phys, req.Data); err != nil {
 			return fmt.Errorf("blkproxy: slot write: %w", err)
 		}
 	}
@@ -411,15 +286,14 @@ func (d *proxyDev) Submit(q int, req api.BlockRequest) error {
 	})
 	if err != nil {
 		p.SubmitDropsHung++
-		p.stalled[q] = true
+		p.Stall(q)
 		return fmt.Errorf("blkproxy: submit upcall: %w", err)
 	}
 	p.K.Blk.Trace.Event(trace.ClassBlk, q, req.Tag, trace.HopUchanEnq)
 	if req.FUA {
 		p.FUAIssued++
 	}
-	p.free[q] = p.free[q][:len(p.free[q])-1]
-	p.tagSlot[req.Tag] = q*SlotsPerQueue + slot
+	p.tagSlot[req.Tag] = p.Commit(q)
 	return nil
 }
 
@@ -433,10 +307,10 @@ func (p *Proxy) submitFlush(q int, req api.BlockRequest) error {
 		return fmt.Errorf("blkproxy: barrier %d already in flight", p.inFlightFlush.barrier)
 	}
 	p.barrierSeq++
-	frame := EncodeFlushOp(FlushOp{Barrier: p.barrierSeq, Epoch: p.epoch, Tag: req.Tag})
+	frame := EncodeFlushOp(FlushOp{Barrier: p.barrierSeq, Epoch: p.Epoch(), Tag: req.Tag})
 	if err := p.C.ASend(q, uchan.Msg{Op: OpFlush, Data: frame}); err != nil {
 		p.SubmitDropsHung++
-		p.stalled[q] = true
+		p.Stall(q)
 		return fmt.Errorf("blkproxy: flush upcall: %w", err)
 	}
 	p.FlushesIssued++
@@ -449,7 +323,7 @@ func (p *Proxy) submitFlush(q int, req api.BlockRequest) error {
 // arrived on — the queue whose counters it charges and whose slots its
 // completions release.
 func (p *Proxy) HandleDowncall(q int, m uchan.Msg) {
-	if p.Dev.Epoch() != p.epoch {
+	if p.Stale() {
 		// This proxy belongs to a dead driver incarnation: the device was
 		// (or is being) recovered onto a restarted process. A completion,
 		// wake or batch arriving now is the replay-vs-stale-completion
@@ -459,9 +333,7 @@ func (p *Proxy) HandleDowncall(q int, m uchan.Msg) {
 		p.CompStaleEpoch++
 		return
 	}
-	if q < 0 || q >= len(p.free) {
-		q = 0
-	}
+	q = p.ClampQ(q)
 	switch m.Op {
 	case OpComplete:
 		// Args[4] is the queue-epoch stamp the driver runtime put on the
@@ -476,9 +348,8 @@ func (p *Proxy) HandleDowncall(q int, m uchan.Msg) {
 			return
 		}
 		if p.complete(q, CompRef{Tag: m.Args[0], Status: uint16(m.Args[1]), IOVA: m.Args[2], Len: uint32(m.Args[3])}) {
-			p.K.Acct.Charge(sim.CostIOTLBShootdown)
-			p.Shootdowns++
-			p.maybeFlushRecycle(q)
+			p.Shootdown()
+			p.MaybeFlushRecycle(q)
 		}
 	case OpCompleteBatch:
 		// Args[0] stamps the whole batch (the framing has no per-entry
@@ -503,111 +374,51 @@ func (p *Proxy) HandleDowncall(q int, m uchan.Msg) {
 		}
 		if flipped > 0 {
 			// One shootdown covers every page this batch revoked.
-			p.K.Acct.Charge(sim.CostIOTLBShootdown)
-			p.Shootdowns++
-			p.maybeFlushRecycle(q)
+			p.Shootdown()
+			p.MaybeFlushRecycle(q)
 		}
-	case OpRecycleAck:
-		epoch, pages, err := protocol.DecodeRecycle(m.Data)
-		if err != nil {
-			p.RecycleBadAck++
-			return
-		}
-		if epoch != uint32(p.epoch) {
-			// A frame minted for a dead incarnation (replayed across a
-			// recovery, or forged): rejected, never matched.
-			p.RecycleStaleAck++
-			return
-		}
-		p.RecycleAcks += uint64(len(pages))
 	case OpFlushDone:
 		p.handleFlushDone(q, m)
-	case OpWakeQueue:
-		wq := int(m.Args[0])
-		if wq < 0 || wq >= len(p.free) {
-			wq = 0
-		}
-		p.maybeWakeQueue(wq)
 	default:
-		// Unknown downcalls from an untrusted driver are ignored, not
-		// trusted (§3.1.1).
-		p.UpcallErrors++
+		p.HandleShared(m)
 	}
 }
 
 // queueStale applies the queue-granular epoch discipline to one completion
 // message on ring q. A completion is stale when its queue is quarantined and
-// not yet re-armed (the block core's QueueEpoch moved past this proxy's
-// mirror), or when its stamp names a dead incarnation of the queue (a
-// pre-quarantine completion arriving late, or a forgery). Either way it is
-// dropped and counted — the tag it names is (or will be) live again in the
-// re-armed incarnation, and must only be matched by that incarnation.
+// not yet re-armed, or when its stamp names a dead incarnation of the queue
+// (a pre-quarantine completion arriving late, or a forgery). Either way it
+// is dropped and counted — the tag it names is (or will be) live again in
+// the re-armed incarnation, and must only be matched by that incarnation.
 func (p *Proxy) queueStale(q int, stamp uint64) bool {
-	if p.Dev.QueueEpoch(q) != p.qepoch[q] || stamp != p.qepoch[q] {
+	if p.QueueStale(q) || stamp != p.QueueEpochMirror(q) {
 		p.CompStaleQueueEpoch++
 		return true
 	}
 	return false
 }
 
-// ParkQueue tells the driver runtime queue q is quarantined: an OpQueueEpoch
-// parked frame carrying the epoch the runtime currently holds. Purely
-// advisory — the kernel-side epoch checks enforce the quarantine whether or
-// not the driver listens.
-func (p *Proxy) ParkQueue(q int) {
-	if q < 0 || q >= len(p.qepoch) {
-		return
-	}
-	err := p.C.ASend(q, uchan.Msg{Op: OpQueueEpoch,
-		Data: protocol.EncodeQState(protocol.QState{Queue: q, Epoch: uint32(p.qepoch[q]), Flags: protocol.QStateParked})})
-	if err != nil {
-		p.UpcallErrors++
-	}
-}
-
 // RearmQueue re-syncs this proxy with queue q's new incarnation after a
-// surgical quarantine, before the block core replays the queue. Slots still
-// held by the queue's in-flight tags are reclaimed without completing —
-// replay re-submits those tags and claims fresh slots, so leaving the old
-// entries would leak the pool. Flipped pages parked on the queue's recycle
-// lane are flushed back to the driver (its sub-domain is re-armed by now),
-// the epoch mirror adopts the queue's new epoch, and an OpQueueEpoch armed
-// frame tells the runtime to stamp it — and to drop work held for the dead
-// incarnation.
+// surgical quarantine, before the block core replays the queue. The
+// queue's in-flight tags are forgotten without completing — replay
+// re-submits them and claims fresh slots — and so is a barrier the dead
+// incarnation held; the chassis then reclaims the queue's slots, flushes
+// its recycle lane and re-arms its epoch.
 func (p *Proxy) RearmQueue(q int) {
-	if q < 0 || q >= len(p.qepoch) {
+	if q < 0 || q >= p.C.NumQueues() {
 		return
 	}
-	for tag, packed := range p.tagSlot {
-		if packed/SlotsPerQueue != q {
-			continue
+	for tag, slot := range p.tagSlot {
+		if slot/SlotsPerQueue == q {
+			delete(p.tagSlot, tag)
 		}
-		delete(p.tagSlot, tag)
-		p.free[q] = append(p.free[q], packed%SlotsPerQueue)
 	}
-	p.stalled[q] = false
 	if q == 0 && p.inFlightFlush != nil {
-		// A barrier the dead incarnation held is gone with it; replay
-		// re-issues the flush under a fresh barrier sequence, and a late
-		// FlushDone for the old one fails the barrier match.
+		// Replay re-issues the flush under a fresh barrier sequence, and
+		// a late FlushDone for the old one fails the barrier match.
 		p.inFlightFlush = nil
 	}
-	p.flushRecycleQ(q)
-	p.qepoch[q] = p.Dev.QueueEpoch(q)
-	err := p.C.ASend(q, uchan.Msg{Op: OpQueueEpoch,
-		Data: protocol.EncodeQState(protocol.QState{Queue: q, Epoch: uint32(p.qepoch[q]), Flags: protocol.QStateArmed})})
-	if err != nil {
-		p.UpcallErrors++
-	}
-}
-
-// QueueEpochMirror reports the queue epoch this proxy last re-armed at
-// (tests, sudctl).
-func (p *Proxy) QueueEpochMirror(q int) uint64 {
-	if q < 0 || q >= len(p.qepoch) {
-		return 0
-	}
-	return p.qepoch[q]
+	p.Chassis.RearmQueue(q)
 }
 
 // handleFlushDone validates one barrier completion against the proxy's own
@@ -625,7 +436,7 @@ func (p *Proxy) handleFlushDone(q int, m uchan.Msg) {
 		return
 	}
 	fs := p.inFlightFlush
-	if fs == nil || fo.Barrier != fs.barrier || fo.Epoch != p.epoch || fo.Tag != fs.tag {
+	if fs == nil || fo.Barrier != fs.barrier || fo.Epoch != p.Epoch() || fo.Tag != fs.tag {
 		p.CompBadBarrier++
 		return
 	}
@@ -695,12 +506,9 @@ func (p *Proxy) complete(q int, c CompRef) bool {
 		return false
 	}
 	if p.GuardMode == GuardPageFlip && n == mem.PageSize && c.IOVA%mem.PageSize == 0 {
-		phys, err := p.DF.RevokePage(mem.Addr(c.IOVA))
-		if err == nil {
+		if phys, ok := p.FlipPage(mem.Addr(c.IOVA)); ok {
 			p.K.Blk.Trace.Event(trace.ClassBlk, q, c.Tag, trace.HopFlip)
-			p.K.Acct.Charge(sim.CostPageFlipRevoke)
-			p.PagesFlipped++
-			p.pendingRecycle[q] = append(p.pendingRecycle[q], c.IOVA)
+			p.Lend(q, c.IOVA)
 			view, ok := p.K.Mem.Slice(phys, n)
 			if ok {
 				// The driver's window onto the page is gone, so the
@@ -726,7 +534,7 @@ func (p *Proxy) complete(q int, c CompRef) bool {
 	// Guard copy (§3.1.2): block payloads carry no checksum to fuse with,
 	// so the TOCTOU guard is a plain copy into kernel-owned memory.
 	p.K.Blk.Trace.Event(trace.ClassBlk, q, c.Tag, trace.HopGuard)
-	buf := p.landing[q].Take(n)
+	buf := p.Land(q, n)
 	p.K.Acct.Charge(sim.Copy(n))
 	p.GuardCopiedBytes += uint64(n)
 	if err := p.K.Mem.Read(phys, buf); err != nil {
@@ -736,74 +544,6 @@ func (p *Proxy) complete(q int, c CompRef) bool {
 	}
 	p.finish(q, c.Tag, 0, buf)
 	return false
-}
-
-// recycleThreshold is how many flipped pages accumulate on a queue before
-// the proxy remaps them and sends one recycle upcall — small against the
-// driver's per-queue pool (QDepth slots = 64 pages) so reads never starve.
-const recycleThreshold = 16
-
-func (p *Proxy) maybeFlushRecycle(q int) {
-	if len(p.pendingRecycle[q]) >= recycleThreshold {
-		p.flushRecycleQ(q)
-	}
-}
-
-// flushRecycleQ remaps queue q's pending flipped pages back into the
-// driver's domain and returns them in one recycle upcall.
-func (p *Proxy) flushRecycleQ(q int) {
-	pending := p.pendingRecycle[q]
-	if len(pending) == 0 {
-		return
-	}
-	p.pendingRecycle[q] = p.pendingRecycle[q][:0]
-	for start := 0; start < len(pending); start += protocol.MaxRecyclePages {
-		end := start + protocol.MaxRecyclePages
-		if end > len(pending) {
-			end = len(pending)
-		}
-		var returned []uint64
-		for _, page := range pending[start:end] {
-			// RecyclePage fails only if the page is no longer flipped —
-			// the driver died and teardown reclaimed it.
-			if err := p.DF.RecyclePage(mem.Addr(page)); err == nil {
-				p.K.Acct.Charge(sim.CostPageRecycleMap)
-				returned = append(returned, page)
-			}
-		}
-		if len(returned) == 0 {
-			continue
-		}
-		err := p.C.ASend(q, uchan.Msg{
-			Op:   OpPageRecycle,
-			Data: protocol.EncodeRecycle(uint32(p.epoch), returned),
-		})
-		if err != nil {
-			// The pages are back in the driver's domain either way; a
-			// hung ring just means the driver never reuses them.
-			p.UpcallErrors++
-			continue
-		}
-		p.RecycleUpcalls++
-	}
-}
-
-// FlushRecycle forces every queue's pending flipped pages back to the driver
-// regardless of threshold (tests, teardown).
-func (p *Proxy) FlushRecycle() {
-	for q := range p.pendingRecycle {
-		p.flushRecycleQ(q)
-	}
-}
-
-// PendingRecyclePages reports pages flipped but not yet recycled, summed
-// across queues.
-func (p *Proxy) PendingRecyclePages() int {
-	n := 0
-	for _, pr := range p.pendingRecycle {
-		n += len(pr)
-	}
-	return n
 }
 
 // failRead completes a request as an I/O error after a rejected reference;
@@ -837,56 +577,11 @@ func (p *Proxy) finish(q int, tag uint64, status uint16, data []byte) {
 
 // releaseSlot returns tag's slot to its queue's pool.
 func (p *Proxy) releaseSlot(tag uint64) bool {
-	packed, ok := p.tagSlot[tag]
+	slot, ok := p.tagSlot[tag]
 	if !ok {
 		return false
 	}
 	delete(p.tagSlot, tag)
-	sq, slot := packed/SlotsPerQueue, packed%SlotsPerQueue
-	p.free[sq] = append(p.free[sq], slot)
-	p.maybeWakeQueue(sq)
+	p.Release(slot)
 	return true
 }
-
-// wakeThreshold is how many of a queue's slots must be free before a
-// stopped queue is woken — waking per released slot would thrash the
-// submitter (one eighth of the partition, like the netdev wake batch).
-func (p *Proxy) wakeThreshold() int {
-	t := SlotsPerQueue / 8
-	if t < 1 {
-		t = 1
-	}
-	return t
-}
-
-// maybeWakeQueue restarts queue q's submission path once it regains
-// headroom. The wake is per queue: a sibling still out of slots stays
-// stopped, and only requests steered onto it keep waiting.
-func (p *Proxy) maybeWakeQueue(q int) {
-	if !p.stalled[q] || len(p.free[q]) < p.wakeThreshold() {
-		return
-	}
-	p.stalled[q] = false
-	p.Dev.WakeQueueQ(q)
-}
-
-// FreeSlots reports the pool headroom across all queues (tests).
-func (p *Proxy) FreeSlots() int {
-	n := 0
-	for _, f := range p.free {
-		n += len(f)
-	}
-	return n
-}
-
-// QueueFreeSlots reports one queue's slot headroom.
-func (p *Proxy) QueueFreeSlots(q int) int {
-	if q < 0 || q >= len(p.free) {
-		return 0
-	}
-	return len(p.free[q])
-}
-
-// Pools returns the per-queue slot-pool allocations (sudctl's IOMMU-domain
-// listing shows them per queue).
-func (p *Proxy) Pools() []*pciaccess.Alloc { return p.pools }

@@ -16,15 +16,13 @@
 package ethproxy
 
 import (
-	"errors"
 	"fmt"
-	"strings"
 
 	"sud/internal/kernel/netstack"
 	"sud/internal/mem"
-	"sud/internal/proxy/guard"
 	"sud/internal/proxy/pciaccess"
 	"sud/internal/proxy/protocol"
+	"sud/internal/proxy/qchan"
 	"sud/internal/sim"
 	"sud/internal/trace"
 	"sud/internal/uchan"
@@ -32,20 +30,12 @@ import (
 
 // Upcall operations (kernel → driver).
 const (
-	OpOpen  = protocol.EthBase + iota // sync
-	OpStop                            // sync
-	OpXmit                            // async; Args: [0]=buffer IOVA, [1]=length, [2]=slot index, [3]=TX queue
-	OpIoctl                           // sync; Args: [0]=cmd; Data: argument bytes
-	// OpPageRecycle returns flipped buffer pages to the driver (async);
-	// Data carries the protocol recycle framing (epoch + page IOVAs). The
-	// pages have been remapped before the upcall is sent, so the driver
-	// may re-arm descriptors over them immediately.
-	OpPageRecycle
-	// OpQueueEpoch announces a per-queue epoch transition (async); Data
-	// carries the protocol qstate framing. A parked frame tells the
-	// driver runtime one queue pair is quarantined; an armed frame
-	// re-syncs the runtime at the queue's new epoch.
-	OpQueueEpoch
+	OpOpen        = protocol.EthBase + iota // sync
+	OpStop                                  // sync
+	OpXmit                                  // async; Args: [0]=buffer IOVA, [1]=length, [2]=slot index, [3]=TX queue
+	OpIoctl                                 // sync; Args: [0]=cmd; Data: argument bytes
+	OpPageRecycle                           // chassis recycle lane (qchan.Ops)
+	OpQueueEpoch                            // chassis qstate frame (qchan.Ops)
 )
 
 // Downcall operations (driver → kernel).
@@ -59,11 +49,7 @@ const (
 	// in one message; Data carries the rxbatch.go framing. The queue is
 	// the ring the message arrived on.
 	OpNetifRxBatch
-	// OpRecycleAck echoes an OpPageRecycle frame back once the driver has
-	// re-armed descriptors over the returned pages. Defensively decoded;
-	// an ack whose embedded epoch does not match the live incarnation is
-	// stale (a dead driver's leftovers) and is rejected.
-	OpRecycleAck
+	OpRecycleAck // chassis recycle lane (qchan.Ops)
 )
 
 // TX shared-pool geometry: SUD preallocates shared buffers and passes
@@ -112,17 +98,14 @@ const RxSlotSize = 2048
 // context. Receive: each ring delivers into its own per-queue partition
 // (validation and counters per ring), and frames arrive batched up to
 // MaxRxBatch references per downcall so a queue pays a fraction of a
-// doorbell per frame instead of a wakeup each.
+// doorbell per frame instead of a wakeup each. The per-queue mechanics —
+// epoch fence, park/re-arm, slot pools, recycle lane — are the embedded
+// qchan chassis.
 type Proxy struct {
-	K   *KernelIface
-	DF  *pciaccess.DeviceFile
-	C   *uchan.MultiChan
-	Ifc *netstack.Iface
+	qchan.Chassis
 
-	pools    []*pciaccess.Alloc // per-queue TX slot pools (stream-tagged)
-	perQueue int                // TX slots per queue (pool partition size)
-	free     [][]int            // per-queue free slot lists (global slot indices)
-	stalled  []bool             // per-queue: out of slots or ring space
+	K   *KernelIface
+	Ifc *netstack.Iface
 
 	// GuardMode selects the §3.1.2 TOCTOU-guard strategy (ablations).
 	GuardMode int
@@ -130,27 +113,6 @@ type Proxy struct {
 	// Per-queue RX partitions: frames and batches delivered per ring.
 	RxQueueFrames  []uint64
 	RxQueueBatches []uint64
-
-	// epoch is the interface incarnation this proxy bound at; once the
-	// netstack bumps it (driver death → recovery) every downcall still
-	// signed by this proxy is stale and is rejected wholesale.
-	epoch uint64
-
-	// qepoch mirrors each queue's own incarnation epoch as of the last
-	// RearmQueue — the queue-granular sibling of epoch. Between a
-	// surgical quarantine and the re-arm, the mismatch rejects the
-	// queue's RX deliveries at the proxy while siblings flow.
-	qepoch []uint64
-
-	// pendingRecycle holds consumed buffer pages (by IOVA) per queue
-	// awaiting the lazy recycle flush back to the driver; lent dedups them,
-	// so a page whose slots straddle two batches is returned exactly once.
-	pendingRecycle [][]uint64
-	lent           []map[uint64]bool
-
-	// landing is each RX queue's guard-copy destination: a received frame
-	// is copied into it and lent to the stack for the delivery call.
-	landing []guard.Landing
 
 	// Security / robustness counters.
 	RxInvalidRef uint64 // shared-buffer references outside the driver's memory
@@ -162,17 +124,7 @@ type Proxy struct {
 	RxStaleQueueEpoch uint64
 	RxRevokedRef      uint64 // references naming a page the kernel already owns
 	TxDropsHung       uint64
-	UpcallErrors      uint64
 	MirrorUpdates     uint64 // shared-state synchronisation messages (§3.3)
-
-	// Page-flip accounting (the bench metrics).
-	GuardCopiedBytes uint64 // bytes that went through a guard copy
-	PagesFlipped     uint64
-	Shootdowns       uint64 // batch-amortised IOTLB shootdowns
-	RecycleUpcalls   uint64
-	RecycleAcks      uint64
-	RecycleBadAck    uint64 // malformed ack framing from the driver
-	RecycleStaleAck  uint64 // acks carrying a dead incarnation's epoch
 }
 
 // KernelIface is the slice of kernel services the proxy needs (breaking a
@@ -190,40 +142,17 @@ type KernelIface struct {
 // requested interface name is taken, the next free ethN is allocated, as
 // the kernel's netdev core does — so several NIC driver processes coexist.
 func New(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, name string, mac [6]byte) (*Proxy, error) {
-	q := c.NumQueues()
-	pools, err := allocTxPools(df, q)
-	if err != nil {
-		return nil, fmt.Errorf("ethproxy: allocating TX pool: %w", err)
-	}
-	p := &Proxy{
-		K: ki, DF: df, C: c, pools: pools,
-		perQueue:       TxSlots / q,
-		free:           make([][]int, q),
-		stalled:        make([]bool, q),
-		RxQueueFrames:  make([]uint64, q),
-		RxQueueBatches: make([]uint64, q),
-		pendingRecycle: make([][]uint64, q),
-		lent:           make([]map[uint64]bool, q),
-		landing:        make([]guard.Landing, q),
-	}
-	for i := range p.lent {
-		p.lent[i] = make(map[uint64]bool)
-	}
-	for i := 0; i < p.perQueue*q; i++ {
-		qi := i / p.perQueue
-		p.free[qi] = append(p.free[qi], i)
-	}
-	ifc, err := registerUnique(ki.Net, name, mac, (*proxyDev)(p))
+	p, err := newProxy(ki, df, c)
 	if err != nil {
 		return nil, err
 	}
-	ki.IfaceNm = ifc.Name
-	p.Ifc = ifc
-	p.epoch = ifc.Epoch()
-	p.qepoch = make([]uint64, q)
-	for i := range p.qepoch {
-		p.qepoch[i] = ifc.QueueEpoch(i)
+	ifc, err := qchan.RegisterUnique(name, netstack.ErrNameTaken, func(n string) (*netstack.Iface, error) {
+		return ki.Net.Register(n, mac, (*proxyDev)(p))
+	})
+	if err != nil {
+		return nil, err
 	}
+	p.Bind(ifc)
 	return p, nil
 }
 
@@ -234,46 +163,39 @@ func New(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, name str
 // deferred to promotion. The MAC identity check runs here, inside
 // RegisterStandby.
 func NewStandby(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, name string, mac [6]byte) (*Proxy, error) {
-	q := c.NumQueues()
-	pools, err := allocTxPools(df, q)
+	p, err := newProxy(ki, df, c)
 	if err != nil {
-		return nil, fmt.Errorf("ethproxy: allocating standby TX pool: %w", err)
+		return nil, err
 	}
-	p := &Proxy{
-		K: ki, DF: df, C: c, pools: pools,
-		perQueue:       TxSlots / q,
-		free:           make([][]int, q),
-		stalled:        make([]bool, q),
-		RxQueueFrames:  make([]uint64, q),
-		RxQueueBatches: make([]uint64, q),
-		pendingRecycle: make([][]uint64, q),
-		lent:           make([]map[uint64]bool, q),
-		landing:        make([]guard.Landing, q),
-	}
-	for i := range p.lent {
-		p.lent[i] = make(map[uint64]bool)
-	}
-	for i := 0; i < p.perQueue*q; i++ {
-		qi := i / p.perQueue
-		p.free[qi] = append(p.free[qi], i)
-	}
-	p.qepoch = make([]uint64, q)
 	if err := ki.Net.RegisterStandby(name, mac, (*proxyDev)(p)); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// Bind attaches a promoted standby proxy to the interface it now backs. It
-// must run after the netstack's PromoteStandby — the interface epoch has
+// newProxy builds an unbound proxy: the TX pool is TxSlots shared slots
+// split evenly across the channel's queues.
+func newProxy(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan) (*Proxy, error) {
+	q := c.NumQueues()
+	p := &Proxy{K: ki, RxQueueFrames: make([]uint64, q), RxQueueBatches: make([]uint64, q)}
+	err := p.Init(ki.Acct, df, c, qchan.Config{
+		Class: "ethproxy", Pool: "TX", SlotsPerQueue: TxSlots / q, SlotSize: TxSlotSize,
+		Ops: qchan.Ops{Open: OpOpen, Stop: OpStop, PageRecycle: OpPageRecycle, QueueEpoch: OpQueueEpoch,
+			RecycleAck: OpRecycleAck, WakeQueue: OpWakeQueue},
+	})
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Bind attaches the proxy to the interface it backs. A promoted standby
+// binds after the netstack's PromoteStandby — the interface epoch has
 // already been bumped by the primary's death, so the standby binds to the
 // NEW incarnation and the dead primary's proxy stays stale.
 func (p *Proxy) Bind(ifc *netstack.Iface) {
 	p.Ifc = ifc
-	p.epoch = ifc.Epoch()
-	for i := range p.qepoch {
-		p.qepoch[i] = ifc.QueueEpoch(i)
-	}
+	p.Attach(ifc, ifc.WakeQueue)
 	p.K.IfaceNm = ifc.Name
 }
 
@@ -282,92 +204,16 @@ func (p *Proxy) Bind(ifc *netstack.Iface) {
 // driver incarnation.
 func (p *Proxy) StaleEpochDowncalls() uint64 { return p.RxStaleEpoch }
 
-// allocTxPools builds the per-queue TX slot pools: one device-file
-// allocation per queue, tagged with the queue's stream (the NIC TX engine
-// for queue i stamps i+1), so each queue's slots live in that queue's own
-// IOMMU sub-domain. The kernel tags its pools itself — a sibling queue's
-// descriptor naming a slot here faults at the walk whether or not the
-// driver cooperates. The partitions are allocated back to back, so the
-// IOVA layout is identical to the former single shared pool.
-func allocTxPools(df *pciaccess.DeviceFile, q int) ([]*pciaccess.Alloc, error) {
-	per := TxSlots / q
-	pools := make([]*pciaccess.Alloc, q)
-	for i := range pools {
-		pool, err := df.AllocDMAQ(per*TxSlotSize, fmt.Sprintf("TX q%d slot pool", i), false, i+1)
-		if err != nil {
-			return nil, err
-		}
-		pools[i] = pool
-	}
-	return pools, nil
-}
-
-// registerUnique registers the netdev under the requested name; on a name
-// collision it substitutes into the name's own template (trailing digits
-// stripped, like the kernel's "eth%d") until a free slot is found. Any
-// other registration failure propagates unchanged.
-func registerUnique(net *netstack.Stack, name string, mac [6]byte, dev *proxyDev) (*netstack.Iface, error) {
-	ifc, err := net.Register(name, mac, dev)
-	if err == nil || !errors.Is(err, netstack.ErrNameTaken) {
-		return ifc, err
-	}
-	base := strings.TrimRight(name, "0123456789")
-	if base == "" {
-		base = name
-	}
-	for i := 1; i < 16; i++ {
-		ifc, retryErr := net.Register(fmt.Sprintf("%s%d", base, i), mac, dev)
-		if retryErr == nil {
-			return ifc, nil
-		}
-		if !errors.Is(retryErr, netstack.ErrNameTaken) {
-			return nil, retryErr
-		}
-	}
-	return nil, err
-}
-
 // proxyDev is the netstack-facing half: it satisfies the same NetDevice
-// contract an in-kernel driver would, by RPC.
+// contract an in-kernel driver would, by RPC (Open and Stop are the
+// chassis's synchronous upcalls).
 type proxyDev Proxy
 
 func (d *proxyDev) p() *Proxy { return (*Proxy)(d) }
 
-// Open forwards ndo_open as a synchronous, interruptible upcall.
-func (d *proxyDev) Open() error {
-	reply, err := d.p().C.Send(uchan.Msg{Op: OpOpen})
-	if err != nil {
-		d.p().UpcallErrors++
-		return fmt.Errorf("ethproxy: open upcall: %w", err)
-	}
-	if reply.Args[0] != 0 {
-		return fmt.Errorf("ethproxy: driver open failed: %s", reply.Data)
-	}
-	return nil
-}
-
-// Stop forwards ndo_stop.
-func (d *proxyDev) Stop() error {
-	reply, err := d.p().C.Send(uchan.Msg{Op: OpStop})
-	if err != nil {
-		d.p().UpcallErrors++
-		return fmt.Errorf("ethproxy: stop upcall: %w", err)
-	}
-	if reply.Args[0] != 0 {
-		return fmt.Errorf("ethproxy: driver stop failed: %s", reply.Data)
-	}
-	return nil
-}
-
-// TxQueues implements api.MultiQueueNetDevice: one netstack queue context
-// per uchan ring pair.
+// TxQueues implements api.NetDevice: one netstack queue context per uchan
+// ring pair.
 func (d *proxyDev) TxQueues() int { return d.p().C.NumQueues() }
-
-// StartXmit transmits on the flow's hashed queue (single-queue hosts).
-func (d *proxyDev) StartXmit(frame []byte) error {
-	p := d.p()
-	return d.StartXmitQ(frame, netstack.TxQueueForFrame(frame, p.C.NumQueues()))
-}
 
 // StartXmitQ copies the frame into a shared slot of the given TX queue and
 // queues an asynchronous transmit upcall on that queue's ring — the §3.1
@@ -378,17 +224,12 @@ func (d *proxyDev) StartXmitQ(frame []byte, q int) error {
 	if len(frame) > TxSlotSize {
 		return fmt.Errorf("ethproxy: frame of %d bytes exceeds slot size", len(frame))
 	}
-	if q < 0 || q >= len(p.free) {
-		q = 0
-	}
-	if len(p.free[q]) == 0 {
-		p.stalled[q] = true
+	q = p.ClampQ(q)
+	slot, ok := p.NextSlot(q)
+	if !ok {
 		return fmt.Errorf("ethproxy: no free TX slots on queue %d", q)
 	}
-	slot := p.free[q][len(p.free[q])-1]
-	local := slot % p.perQueue
-	iova := p.pools[q].IOVA + mem.Addr(local*TxSlotSize)
-	phys := p.pools[q].Phys + mem.Addr(local*TxSlotSize)
+	iova, phys := p.SlotAddr(slot)
 	p.K.Acct.Charge(sim.Copy(len(frame)))
 	if err := p.K.Mem.Write(phys, frame); err != nil {
 		return fmt.Errorf("ethproxy: shared pool write: %w", err)
@@ -399,36 +240,19 @@ func (d *proxyDev) StartXmitQ(frame []byte, q int) error {
 	})
 	if err != nil {
 		p.TxDropsHung++
-		p.stalled[q] = true
+		p.Stall(q)
 		return fmt.Errorf("ethproxy: xmit upcall: %w", err)
 	}
-	p.free[q] = p.free[q][:len(p.free[q])-1]
+	p.Commit(q)
 	p.K.Net.Trace.Mark(trace.ClassNetTx, q, uint64(slot))
 	p.K.Net.Trace.Event(trace.ClassNetTx, q, uint64(slot), trace.HopUchanEnq)
 	return nil
 }
 
-// TxQueueForPorts is the flow-steering hash: the TX queue a flow with the
-// given transport ports lands on among nq queues. Kept as an alias of the
-// netstack steering function so tests and attack scenarios can target (or
-// avoid) a specific queue without duplicating the hash.
-func TxQueueForPorts(sport, dport uint16, nq int) int {
-	return netstack.TxQueueForPorts(sport, dport, nq)
-}
-
 // DoIoctl forwards a device-private ioctl synchronously (the paper's
 // SIOCGMIIREG example).
 func (d *proxyDev) DoIoctl(cmd uint32, arg []byte) ([]byte, error) {
-	p := d.p()
-	reply, err := p.C.Send(uchan.Msg{Op: OpIoctl, Args: [6]uint64{uint64(cmd)}, Data: arg})
-	if err != nil {
-		p.UpcallErrors++
-		return nil, fmt.Errorf("ethproxy: ioctl upcall: %w", err)
-	}
-	if reply.Args[0] != 0 {
-		return nil, fmt.Errorf("ethproxy: driver ioctl failed: %s", reply.Data)
-	}
-	return reply.Data, nil
+	return d.p().Call("ioctl", uchan.Msg{Op: OpIoctl, Args: [6]uint64{uint64(cmd)}, Data: arg})
 }
 
 // HandleDowncall services one driver→kernel message in kernel context; the
@@ -436,7 +260,7 @@ func (d *proxyDev) DoIoctl(cmd uint32, arg []byte) ([]byte, error) {
 // arrived on — the RX partition it delivers into and the TX queue its
 // completions credit.
 func (p *Proxy) HandleDowncall(q int, m uchan.Msg) {
-	if p.Ifc.Epoch() != p.epoch {
+	if p.Stale() {
 		// This proxy belongs to a dead driver incarnation: the interface
 		// was (or is being) recovered onto a restarted process. Frames,
 		// TX credits and wakes from the old incarnation are dropped and
@@ -445,9 +269,7 @@ func (p *Proxy) HandleDowncall(q int, m uchan.Msg) {
 		p.RxStaleEpoch++
 		return
 	}
-	if q < 0 || q >= len(p.free) {
-		q = 0
-	}
+	q = p.ClampQ(q)
 	switch m.Op {
 	case OpNetifRx:
 		if p.queueStale(q) {
@@ -491,145 +313,39 @@ func (p *Proxy) HandleDowncall(q int, m uchan.Msg) {
 		for _, r := range refs {
 			p.netifRx(q, mem.Addr(r.IOVA), int(r.Len))
 		}
-	case OpRecycleAck:
-		epoch, pages, err := protocol.DecodeRecycle(m.Data)
-		if err != nil {
-			p.RecycleBadAck++
-			return
-		}
-		if epoch != uint32(p.epoch) {
-			// A frame minted for a dead incarnation (replayed across a
-			// recovery, or forged): the pages it names belong to the new
-			// incarnation's pool now.
-			p.RecycleStaleAck++
-			return
-		}
-		p.RecycleAcks += uint64(len(pages))
 	case OpXmitDone:
 		slot := int(m.Args[0])
-		if slot >= 0 && slot < p.perQueue*len(p.free) {
-			sq := slot / p.perQueue
-			for _, f := range p.free[sq] {
-				if f == slot {
-					// A credit for a slot already free: a confused or
-					// malicious driver, or a late credit from a queue
-					// incarnation whose slots RearmQueue reclaimed.
-					// Crediting it again would hand one slot to two
-					// frames.
-					p.UpcallErrors++
-					return
-				}
-			}
-			if d, ok := p.K.Net.Trace.TakeLat(trace.ClassNetTx, sq, uint64(slot)); ok {
-				p.Ifc.Queue(sq).TxLat.Record(d)
-			}
-			p.K.Net.Trace.Event(trace.ClassNetTx, sq, uint64(slot), trace.HopComplete)
-			p.Ifc.TxConfirm(sq)
-			p.free[sq] = append(p.free[sq], slot)
-			p.maybeWakeQueue(sq)
+		sq, ok := p.Credit(slot)
+		if !ok {
+			return
 		}
+		if d, ok := p.K.Net.Trace.TakeLat(trace.ClassNetTx, sq, uint64(slot)); ok {
+			p.Ifc.Queue(sq).TxLat.Record(d)
+		}
+		p.K.Net.Trace.Event(trace.ClassNetTx, sq, uint64(slot), trace.HopComplete)
+		p.Ifc.TxConfirm(sq)
+		p.Release(slot)
 	case OpCarrierOn:
 		p.MirrorUpdates++
 		p.Ifc.CarrierOn()
 	case OpCarrierOff:
 		p.MirrorUpdates++
 		p.Ifc.CarrierOff()
-	case OpWakeQueue:
-		wq := int(m.Args[0])
-		if wq < 0 || wq >= len(p.free) {
-			wq = 0
-		}
-		p.maybeWakeQueue(wq)
 	default:
-		// Unknown downcalls from an untrusted driver are ignored, not
-		// trusted (§3.1.1).
-		p.UpcallErrors++
+		p.HandleShared(m)
 	}
 }
 
 // queueStale applies the queue-granular epoch discipline to RX deliveries
-// on ring q: while the netstack's QueueEpoch is ahead of this proxy's mirror
-// the queue is quarantined and not yet re-armed, so everything it delivers
-// is dropped and counted — its buffers sit in a revoked sub-domain and its
-// sibling queues must not be touched by the cleanup.
+// on ring q: while the queue is quarantined and not yet re-armed, everything
+// it delivers is dropped and counted — its buffers sit in a revoked
+// sub-domain and its sibling queues must not be touched by the cleanup.
 func (p *Proxy) queueStale(q int) bool {
-	if p.Ifc.QueueEpoch(q) != p.qepoch[q] {
+	if p.QueueStale(q) {
 		p.RxStaleQueueEpoch++
 		return true
 	}
 	return false
-}
-
-// ParkQueue tells the driver runtime queue q is quarantined: an OpQueueEpoch
-// parked frame carrying the epoch the runtime currently holds. Advisory —
-// the kernel-side checks enforce the quarantine regardless.
-func (p *Proxy) ParkQueue(q int) {
-	if q < 0 || q >= len(p.qepoch) {
-		return
-	}
-	err := p.C.ASend(q, uchan.Msg{Op: OpQueueEpoch,
-		Data: protocol.EncodeQState(protocol.QState{Queue: q, Epoch: uint32(p.qepoch[q]), Flags: protocol.QStateParked})})
-	if err != nil {
-		p.UpcallErrors++
-	}
-}
-
-// RearmQueue re-syncs this proxy with queue q's new incarnation after a
-// surgical quarantine. TX slots the dead incarnation still held are
-// reclaimed (frames are fire-and-forget; losing them is a transport
-// problem, leaking the slots is not), flipped pages parked on the queue's
-// recycle lane are flushed back to the driver (its sub-domain is re-armed
-// by now), the epoch mirror adopts the queue's new epoch, and an
-// OpQueueEpoch armed frame tells the runtime to drop work held for the dead
-// incarnation.
-func (p *Proxy) RearmQueue(q int) {
-	if q < 0 || q >= len(p.qepoch) {
-		return
-	}
-	p.free[q] = p.free[q][:0]
-	for i := q * p.perQueue; i < (q+1)*p.perQueue; i++ {
-		p.free[q] = append(p.free[q], i)
-	}
-	p.stalled[q] = false
-	p.flushRecycleQ(q)
-	p.qepoch[q] = p.Ifc.QueueEpoch(q)
-	err := p.C.ASend(q, uchan.Msg{Op: OpQueueEpoch,
-		Data: protocol.EncodeQState(protocol.QState{Queue: q, Epoch: uint32(p.qepoch[q]), Flags: protocol.QStateArmed})})
-	if err != nil {
-		p.UpcallErrors++
-	}
-}
-
-// QueueEpochMirror reports the queue epoch this proxy last re-armed at
-// (tests, sudctl).
-func (p *Proxy) QueueEpochMirror(q int) uint64 {
-	if q < 0 || q >= len(p.qepoch) {
-		return 0
-	}
-	return p.qepoch[q]
-}
-
-// wakeThreshold is how many of a queue's slots must be free before a
-// stopped queue is woken — waking per released slot would thrash the sender
-// (real netdev drivers use the same batching). One eighth of the queue's
-// partition: 32 slots on a single-queue proxy, matching the classic value.
-func (p *Proxy) wakeThreshold() int {
-	t := p.perQueue / 8
-	if t < 1 {
-		t = 1
-	}
-	return t
-}
-
-// maybeWakeQueue restarts queue q's transmit path once it regains headroom.
-// The wake is per queue: a sibling still out of slots stays stopped, and
-// only flows hashed onto it keep waiting.
-func (p *Proxy) maybeWakeQueue(q int) {
-	if !p.stalled[q] || len(p.free[q]) < p.wakeThreshold() {
-		return
-	}
-	p.stalled[q] = false
-	p.Ifc.WakeQueue(q)
 }
 
 // netifRx validates the driver's shared-buffer reference and performs the
@@ -669,7 +385,7 @@ func (p *Proxy) netifRx(q int, iova mem.Addr, n int) {
 		return
 	}
 	p.K.Net.Trace.Event(trace.ClassNetRx, q, uint64(iova), trace.HopGuard)
-	frame := p.landing[q].Take(n)
+	frame := p.Land(q, n)
 	switch p.GuardMode {
 	case GuardSeparate:
 		// Naive: copy pass, then an independent checksum pass.
@@ -703,22 +419,4 @@ func (p *Proxy) rxDelivered(q int, iova uint64) {
 		p.Ifc.Queue(q).RxLat.Record(d)
 	}
 	tr.Event(trace.ClassNetRx, q, iova, trace.HopDeliver)
-}
-
-// FreeTxSlots reports the pool headroom across all queues (tests and pacing
-// logic).
-func (p *Proxy) FreeTxSlots() int {
-	n := 0
-	for _, f := range p.free {
-		n += len(f)
-	}
-	return n
-}
-
-// QueueFreeSlots reports one queue's slot headroom.
-func (p *Proxy) QueueFreeSlots(q int) int {
-	if q < 0 || q >= len(p.free) {
-		return 0
-	}
-	return len(p.free[q])
 }

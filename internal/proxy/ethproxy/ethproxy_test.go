@@ -62,8 +62,8 @@ func TestRegistrationCreatesIfaceAndPool(t *testing.T) {
 	if r.p.Ifc.MAC != netstack.MAC(mac) {
 		t.Fatal("MAC not mirrored")
 	}
-	if r.p.FreeTxSlots() != TxSlots {
-		t.Fatalf("pool = %d", r.p.FreeTxSlots())
+	if r.p.FreeSlots() != TxSlots {
+		t.Fatalf("pool = %d", r.p.FreeSlots())
 	}
 	if len(r.df.Allocs()) != 1 || r.df.Allocs()[0].Label != "TX q0 slot pool" {
 		t.Fatal("pool not allocated through the device file")
@@ -114,12 +114,12 @@ func TestXmitUsesSharedSlotsWithBackpressure(t *testing.T) {
 	dev := (*proxyDev)(r.p)
 	frame := bytes.Repeat([]byte{0x3C}, 100)
 	for i := 0; i < TxSlots; i++ {
-		if err := dev.StartXmit(frame); err != nil {
+		if err := dev.StartXmitQ(frame, 0); err != nil {
 			t.Fatalf("xmit %d: %v", i, err)
 		}
 	}
 	// Pool exhausted (no XmitDone yet): backpressure.
-	if err := dev.StartXmit(frame); err == nil {
+	if err := dev.StartXmitQ(frame, 0); err == nil {
 		t.Fatal("xmit with empty pool accepted")
 	}
 	r.m.Loop.Run() // drain upcalls
@@ -140,24 +140,27 @@ func TestXmitUsesSharedSlotsWithBackpressure(t *testing.T) {
 	// Return enough slots: queue wakes only past the threshold.
 	var woken bool
 	r.p.Ifc.OnWake = func() { woken = true }
-	for i := 0; i < r.p.wakeThreshold()-1; i++ {
+	for i := 0; i < r.p.WakeThreshold()-1; i++ {
 		r.p.HandleDowncall(0, uchan.Msg{Op: OpXmitDone, Args: [6]uint64{uint64(i)}})
 	}
 	if woken {
 		t.Fatal("woke below threshold")
 	}
-	r.p.HandleDowncall(0, uchan.Msg{Op: OpXmitDone, Args: [6]uint64{uint64(r.p.wakeThreshold())}})
+	r.p.HandleDowncall(0, uchan.Msg{Op: OpXmitDone, Args: [6]uint64{uint64(r.p.WakeThreshold())}})
 	if !woken {
 		t.Fatal("no wake at threshold")
 	}
 	// Oversized frames and bad slot indices are rejected/ignored.
-	if err := dev.StartXmit(make([]byte, TxSlotSize+1)); err == nil {
+	if err := dev.StartXmitQ(make([]byte, TxSlotSize+1), 0); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
-	before := r.p.FreeTxSlots()
+	before := r.p.FreeSlots()
 	r.p.HandleDowncall(0, uchan.Msg{Op: OpXmitDone, Args: [6]uint64{99999}})
-	if r.p.FreeTxSlots() != before {
+	if r.p.FreeSlots() != before {
 		t.Fatal("bogus slot index freed something")
+	}
+	if r.p.UpcallErrors != 1 {
+		t.Fatalf("out-of-range credit counted %d times, want 1", r.p.UpcallErrors)
 	}
 }
 
@@ -243,7 +246,7 @@ func TestPerQueueSlotWake(t *testing.T) {
 	r := newRigQ(t, 4)
 	dev := (*proxyDev)(r.p)
 	frame := bytes.Repeat([]byte{0x3C}, 100)
-	for i := 0; i < r.p.perQueue; i++ {
+	for i := 0; i < r.p.SlotsPerQueue(); i++ {
 		if err := dev.StartXmitQ(frame, 0); err != nil {
 			t.Fatalf("xmit %d: %v", i, err)
 		}
@@ -260,7 +263,7 @@ func TestPerQueueSlotWake(t *testing.T) {
 	r.p.Ifc.Queue(1).OnWake = func() { wake1++ }
 	// Return queue 0's slots; the wake fires at the per-queue threshold
 	// and touches only queue 0.
-	for i := 0; i < r.p.wakeThreshold(); i++ {
+	for i := 0; i < r.p.WakeThreshold(); i++ {
 		r.p.HandleDowncall(0, uchan.Msg{Op: OpXmitDone, Args: [6]uint64{uint64(i)}})
 	}
 	if wake0 != 1 || wake1 != 0 {
@@ -325,7 +328,7 @@ func TestHungDriverXmitBackpressure(t *testing.T) {
 	dev := (*proxyDev)(r.p)
 	var failed bool
 	for i := 0; i < 2*uchan.RingSlots; i++ {
-		if err := dev.StartXmit([]byte{1}); err != nil {
+		if err := dev.StartXmitQ([]byte{1}, 0); err != nil {
 			failed = true
 			break
 		}

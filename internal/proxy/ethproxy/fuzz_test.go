@@ -2,6 +2,8 @@ package ethproxy
 
 import (
 	"testing"
+
+	"sud/internal/proxy/protocol"
 )
 
 // TestRxBatchRoundTrip pins the batched-RX framing: every reference
@@ -37,30 +39,30 @@ func TestRxBatchRoundTrip(t *testing.T) {
 // TestRxBatchDecodeRejectsMalformed covers the defensive paths a malicious
 // driver can hit by scribbling batch bytes into its rings.
 func TestRxBatchDecodeRejectsMalformed(t *testing.T) {
-	if _, err := DecodeRxBatch(nil); err != ErrBatchShort {
+	if _, err := DecodeRxBatch(nil); err != protocol.ErrBatchShort {
 		t.Fatalf("nil batch: %v", err)
 	}
-	if _, err := DecodeRxBatch([]byte{1}); err != ErrBatchShort {
+	if _, err := DecodeRxBatch([]byte{1}); err != protocol.ErrBatchShort {
 		t.Fatalf("1-byte batch: %v", err)
 	}
 	// Zero count and absurd counts are rejected.
-	if _, err := DecodeRxBatch([]byte{0, 0}); err != ErrBatchCount {
+	if _, err := DecodeRxBatch([]byte{0, 0}); err != protocol.ErrBatchCount {
 		t.Fatalf("zero count: %v", err)
 	}
-	if _, err := DecodeRxBatch([]byte{0xFF, 0xFF}); err != ErrBatchCount {
+	if _, err := DecodeRxBatch([]byte{0xFF, 0xFF}); err != protocol.ErrBatchCount {
 		t.Fatalf("absurd count: %v", err)
 	}
 	// Count names more refs than the buffer carries.
 	b := EncodeRxBatch([]RxRef{{IOVA: 1, Len: 2}})
 	b[0] = 2
-	if _, err := DecodeRxBatch(b); err != ErrBatchTrunc {
+	if _, err := DecodeRxBatch(b); err != protocol.ErrBatchTrunc {
 		t.Fatalf("truncated batch: %v", err)
 	}
 	// Trailing garbage is rejected, not silently ignored (no parser
 	// ambiguity for a smuggled second payload).
 	b = EncodeRxBatch([]RxRef{{IOVA: 1, Len: 2}})
 	b = append(b, 0xEE)
-	if _, err := DecodeRxBatch(b); err != ErrBatchSlack {
+	if _, err := DecodeRxBatch(b); err != protocol.ErrBatchSlack {
 		t.Fatalf("slack bytes: %v", err)
 	}
 }

@@ -17,20 +17,12 @@ package ethproxy
 import (
 	"sud/internal/kernel/netstack"
 	"sud/internal/mem"
-	"sud/internal/proxy/protocol"
 	"sud/internal/sim"
 	"sud/internal/trace"
-	"sud/internal/uchan"
 )
 
 // slotsPerPage is how many RX buffer slots tile one page.
 const slotsPerPage = mem.PageSize / RxSlotSize
-
-// recycleThreshold is how many flipped pages accumulate on a queue before
-// the proxy remaps them and sends one recycle upcall. Small against the
-// driver's ring (128 pages/queue for the e1000e geometry) so the pool never
-// starves, large enough that recycle costs amortise.
-const recycleThreshold = 16
 
 type pageGroup struct {
 	iova mem.Addr
@@ -73,10 +65,7 @@ func (p *Proxy) netifRxBatchFlip(q int, refs []RxRef) {
 		full := !g.bad && g.mask == 1<<slotsPerPage-1
 		delivered := false
 		if full && p.DF.ValidateRange(g.iova, mem.PageSize) {
-			phys, err := p.DF.RevokePage(g.iova)
-			if err == nil {
-				p.K.Acct.Charge(sim.CostPageFlipRevoke)
-				p.PagesFlipped++
+			if phys, ok := p.FlipPage(g.iova); ok {
 				flipped++
 				delivered = true
 				for slot := 0; slot < slotsPerPage; slot++ {
@@ -115,88 +104,15 @@ func (p *Proxy) netifRxBatchFlip(q int, refs []RxRef) {
 		// Return the page whether it flipped or not: under page flip a
 		// page-aware driver re-arms descriptors only on recycle, so the
 		// recycle lane doubles as the ownership token for pages whose
-		// frames went through the guard-copy fallback. lent dedups pages
-		// whose slots straddle batches; the FIFO append order matches the
-		// driver's descriptor consumption order.
-		if !p.lent[q][uint64(g.iova)] {
-			p.lent[q][uint64(g.iova)] = true
-			p.pendingRecycle[q] = append(p.pendingRecycle[q], uint64(g.iova))
-		}
+		// frames went through the guard-copy fallback.
+		p.Lend(q, uint64(g.iova))
 	}
 	for _, r := range loose {
 		p.netifRx(q, mem.Addr(r.IOVA), int(r.Len))
 	}
 	if flipped > 0 {
 		// One shootdown covers every page this batch revoked.
-		p.K.Acct.Charge(sim.CostIOTLBShootdown)
-		p.Shootdowns++
+		p.Shootdown()
 	}
-	if len(p.pendingRecycle[q]) >= recycleThreshold {
-		p.flushRecycleQ(q)
-	}
-}
-
-// flushRecycleQ remaps queue q's pending flipped pages back into the
-// driver's domain and returns them in one recycle upcall.
-func (p *Proxy) flushRecycleQ(q int) {
-	pending := p.pendingRecycle[q]
-	if len(pending) == 0 {
-		return
-	}
-	p.pendingRecycle[q] = p.pendingRecycle[q][:0]
-	for start := 0; start < len(pending); start += protocol.MaxRecyclePages {
-		end := start + protocol.MaxRecyclePages
-		if end > len(pending) {
-			end = len(pending)
-		}
-		var returned []uint64
-		for _, page := range pending[start:end] {
-			delete(p.lent[q], page)
-			if p.DF.PageRevoked(mem.Addr(page)) {
-				// RecyclePage fails only if the device file is gone —
-				// the driver died and teardown reclaimed the page;
-				// nothing to return then.
-				if err := p.DF.RecyclePage(mem.Addr(page)); err != nil {
-					continue
-				}
-				p.K.Acct.Charge(sim.CostPageRecycleMap)
-			}
-			// A page that never flipped (guard-copied slots) is returned
-			// without a remap: it never left the driver's domain, the
-			// message only hands back re-arm ownership.
-			returned = append(returned, page)
-		}
-		if len(returned) == 0 {
-			continue
-		}
-		err := p.C.ASend(q, uchan.Msg{
-			Op:   OpPageRecycle,
-			Data: protocol.EncodeRecycle(uint32(p.epoch), returned),
-		})
-		if err != nil {
-			// The pages are back in the driver's domain either way; a
-			// hung ring just means the driver never re-arms them.
-			p.UpcallErrors++
-			continue
-		}
-		p.RecycleUpcalls++
-	}
-}
-
-// FlushRecycle forces every queue's pending flipped pages back to the driver
-// regardless of threshold (tests, teardown).
-func (p *Proxy) FlushRecycle() {
-	for q := range p.pendingRecycle {
-		p.flushRecycleQ(q)
-	}
-}
-
-// PendingRecyclePages reports pages flipped but not yet recycled, summed
-// across queues (recovery tests assert this drains or is reclaimed).
-func (p *Proxy) PendingRecyclePages() int {
-	n := 0
-	for _, pr := range p.pendingRecycle {
-		n += len(pr)
-	}
-	return n
+	p.MaybeFlushRecycle(q)
 }

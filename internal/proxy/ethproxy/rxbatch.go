@@ -1,6 +1,10 @@
 package ethproxy
 
-import "errors"
+import (
+	"encoding/binary"
+
+	"sud/internal/proxy/protocol"
+)
 
 // Batched RX delivery framing.
 //
@@ -14,17 +18,14 @@ import "errors"
 // and counted, never dispatched. DecodeRxBatch is fuzzed for exactly that
 // reason.
 //
-// Batch layout (little-endian):
-//
-//	[0:2)   frame count
-//	[2:..)  count × { [0:8) buffer IOVA, [8:12) length }
+// Batch layout (little-endian): the protocol batch header (frame count),
+// then count × { [0:8) buffer IOVA, [8:12) length }.
 const (
 	// MaxRxBatch is B: the most frame references one batch downcall may
 	// carry (the per-doorbell drain bound of the batched delivery path).
 	MaxRxBatch = 32
 
-	rxBatchHeaderLen = 2
-	rxRefLen         = 12
+	rxRefLen = 12
 )
 
 // RxRef is one received-frame reference: a buffer in the driver's own DMA
@@ -36,65 +37,33 @@ type RxRef struct {
 	Len  uint32
 }
 
-// Batch decode errors.
-var (
-	ErrBatchShort = errors.New("ethproxy: rx batch shorter than header")
-	ErrBatchCount = errors.New("ethproxy: rx batch count out of range")
-	ErrBatchTrunc = errors.New("ethproxy: rx batch truncated")
-	ErrBatchSlack = errors.New("ethproxy: rx batch has trailing bytes")
-)
-
 // EncodeRxBatch marshals up to MaxRxBatch frame references into batch bytes.
 // Longer slices are truncated to MaxRxBatch (callers flush at the bound).
 func EncodeRxBatch(refs []RxRef) []byte {
 	if len(refs) > MaxRxBatch {
 		refs = refs[:MaxRxBatch]
 	}
-	buf := make([]byte, rxBatchHeaderLen+rxRefLen*len(refs))
-	buf[0] = byte(len(refs))
-	buf[1] = byte(len(refs) >> 8)
+	buf := protocol.NewBatch(len(refs), rxRefLen)
 	for i, r := range refs {
-		off := rxBatchHeaderLen + rxRefLen*i
-		for b := 0; b < 8; b++ {
-			buf[off+b] = byte(r.IOVA >> (8 * b))
-		}
-		for b := 0; b < 4; b++ {
-			buf[off+8+b] = byte(r.Len >> (8 * b))
-		}
+		rec := buf[protocol.BatchHeaderLen+rxRefLen*i:]
+		binary.LittleEndian.PutUint64(rec, r.IOVA)
+		binary.LittleEndian.PutUint32(rec[8:], r.Len)
 	}
 	return buf
 }
 
 // DecodeRxBatch unmarshals batch bytes written by the (untrusted) driver
-// process. It never panics on arbitrary input; malformed batches return an
-// error.
+// process. It never panics on arbitrary input; malformed batches return one
+// of the protocol batch errors.
 func DecodeRxBatch(buf []byte) ([]RxRef, error) {
-	if len(buf) < rxBatchHeaderLen {
-		return nil, ErrBatchShort
-	}
-	count := int(buf[0]) | int(buf[1])<<8
-	if count == 0 || count > MaxRxBatch {
-		return nil, ErrBatchCount
-	}
-	want := rxBatchHeaderLen + rxRefLen*count
-	if len(buf) < want {
-		return nil, ErrBatchTrunc
-	}
-	if len(buf) > want {
-		return nil, ErrBatchSlack
+	count, err := protocol.BatchCount(buf, rxRefLen, MaxRxBatch)
+	if err != nil {
+		return nil, err
 	}
 	refs := make([]RxRef, count)
 	for i := range refs {
-		off := rxBatchHeaderLen + rxRefLen*i
-		var iova uint64
-		for b := 7; b >= 0; b-- {
-			iova = iova<<8 | uint64(buf[off+b])
-		}
-		var n uint32
-		for b := 3; b >= 0; b-- {
-			n = n<<8 | uint32(buf[off+8+b])
-		}
-		refs[i] = RxRef{IOVA: iova, Len: n}
+		rec := buf[protocol.BatchHeaderLen+rxRefLen*i:]
+		refs[i] = RxRef{IOVA: binary.LittleEndian.Uint64(rec), Len: binary.LittleEndian.Uint32(rec[8:])}
 	}
 	return refs, nil
 }

@@ -5,9 +5,9 @@
 // CPU charging and uniform accounting, so ablations can compare guard bytes
 // across device classes instead of re-deriving each proxy's hand-rolled
 // copy. The Ethernet and block proxies keep their specialised fused and
-// page-flip guards and charge them themselves, but their copies land in the
-// per-queue Landing buffer defined here; CopyIn is the plain leg the
-// low-rate classes (wireless, audio) share.
+// page-flip guards, charge them themselves and land their copies in their
+// chassis's per-queue buffers (internal/proxy/qchan); CopyIn is the plain
+// leg the low-rate classes (wireless, audio) share.
 package guard
 
 import "sud/internal/sim"
@@ -34,26 +34,6 @@ func CopyIn(acct *sim.CPUAccount, st *Stats, payload []byte) []byte {
 	buf := make([]byte, len(payload))
 	copy(buf, payload)
 	return buf
-}
-
-// Landing is the kernel-owned buffer one queue's guard copies land in. It
-// is host memory with no mapping in any driver's IOMMU domain, so a payload
-// copied into it cannot be changed by later driver stores to the shared
-// source: the TOCTOU property of a fresh buffer per I/O, without the
-// allocation. The slice Take returns is borrowed by the consumer the
-// payload is delivered to, for that call only; the queue's next guard copy
-// overwrites it, so a consumer that keeps the bytes copies them.
-type Landing struct {
-	buf []byte
-}
-
-// Take returns the landing area for an n-byte payload, growing the buffer
-// on first use of a larger size.
-func (l *Landing) Take(n int) []byte {
-	if cap(l.buf) < n {
-		l.buf = make([]byte, n)
-	}
-	return l.buf[:n]
 }
 
 // VerifyInline charges the verification leg for n bytes that arrived inline

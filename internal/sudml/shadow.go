@@ -397,10 +397,9 @@ func (s *Supervisor) observeEvidence() bool {
 		if p.Blk != nil {
 			ev.BarrierViolations = p.Blk.BarrierViolations()
 			ev.FlushesAcked = p.Blk.FlushesAcked
-			ev.StaleEpoch += p.Blk.CompStaleEpoch
 		}
-		if p.Eth != nil {
-			ev.StaleEpoch += p.Eth.StaleEpochDowncalls()
+		for _, qp := range p.queueProxies() {
+			ev.StaleEpoch += qp.StaleEpochDowncalls()
 		}
 		if p.DF != nil {
 			ev.StormTrips = p.DF.StormResponses
@@ -508,11 +507,8 @@ func (s *Supervisor) surgical(q int, faults uint64) {
 	}
 	// Park: proxy first (advisory epoch frame to the runtime), then the
 	// kernel object (epoch bump + drain watermark, records FPark).
-	if s.proc.Blk != nil {
-		s.proc.Blk.ParkQueue(q)
-	}
-	if s.proc.Eth != nil {
-		s.proc.Eth.ParkQueue(q)
+	for _, qp := range s.proc.queueProxies() {
+		qp.ParkQueue(q)
 	}
 	for _, rd := range s.recoverables() {
 		rd.BeginQueueRecovery(q)
@@ -533,11 +529,8 @@ func (s *Supervisor) surgical(q int, faults uint64) {
 	if err := s.proc.DF.RearmQueueDMA(q + 1); err != nil {
 		s.K.Logf("supervisor: %s q%d DMA re-arm failed: %v", s.Name, q, err)
 	}
-	if s.proc.Blk != nil {
-		s.proc.Blk.RearmQueue(q)
-	}
-	if s.proc.Eth != nil {
-		s.proc.Eth.RearmQueue(q)
+	for _, qp := range s.proc.queueProxies() {
+		qp.RearmQueue(q)
 	}
 	replayed := 0
 	for _, rd := range s.recoverables() {
@@ -743,11 +736,8 @@ func (s *Supervisor) harvestStale(p *Process) {
 	if p == nil {
 		return
 	}
-	if p.Blk != nil {
-		s.staleHarvest += p.Blk.CompStaleEpoch
-	}
-	if p.Eth != nil {
-		s.staleHarvest += p.Eth.StaleEpochDowncalls()
+	for _, qp := range p.queueProxies() {
+		s.staleHarvest += qp.StaleEpochDowncalls()
 	}
 }
 

@@ -82,17 +82,9 @@ type Process struct {
 	// byte) to bus addresses, enabling zero-copy netif_rx.
 	sliceAddrs map[*byte]mem.Addr
 
-	// pendingTx holds, per queue, transmit upcalls the driver's TX ring
-	// had no room for; they drain after descriptor reclaim (interrupt
-	// handling).
-	pendingTx  [][]uchan.Msg
-	retryTimer []bool
-
-	// pendingBlk holds, per queue, block submissions the driver's
-	// hardware queue had no room for; they drain after completion
-	// processing, exactly like pendingTx.
-	pendingBlk    [][]uchan.Msg
-	blkRetryTimer []bool
+	// txHold and blkHold hold transmits and block submissions the
+	// driver's hardware queues had no room for.
+	txHold, blkHold holdQ
 
 	// blkComp accumulates, per queue, I/O completion references awaiting
 	// the batched OpCompleteBatch downcall — the block analogue of
@@ -228,24 +220,27 @@ func newShellQ(k *kernel.Kernel, dev pci.Device, drv api.Driver, name string, ui
 	}
 	ch := uchan.NewMulti(k.M.Loop, k.Acct, accts)
 	p := &Process{
-		Name:          name,
-		UID:           uid,
-		K:             k,
-		DF:            df,
-		Chan:          ch,
-		Acct:          acct,
-		QueueAccts:    accts,
-		driver:        drv,
-		sliceAddrs:    make(map[*byte]mem.Addr),
-		pendingTx:     make([][]uchan.Msg, len(accts)),
-		retryTimer:    make([]bool, len(accts)),
-		rxBatch:       make([][]ethproxy.RxRef, len(accts)),
-		pendingBlk:    make([][]uchan.Msg, len(accts)),
-		blkRetryTimer: make([]bool, len(accts)),
-		blkComp:       make([][]blkproxy.CompRef, len(accts)),
-		flushMeta:     make(map[uint64]blkproxy.FlushOp),
-		qep:           make([]uint64, len(accts)),
-		qparked:       make([]bool, len(accts)),
+		Name:       name,
+		UID:        uid,
+		K:          k,
+		DF:         df,
+		Chan:       ch,
+		Acct:       acct,
+		QueueAccts: accts,
+		driver:     drv,
+		sliceAddrs: make(map[*byte]mem.Addr),
+		rxBatch:    make([][]ethproxy.RxRef, len(accts)),
+		blkComp:    make([][]blkproxy.CompRef, len(accts)),
+		flushMeta:  make(map[uint64]blkproxy.FlushOp),
+		qep:        make([]uint64, len(accts)),
+		qparked:    make([]bool, len(accts)),
+	}
+	p.txHold = holdQ{p: p, try: p.tryXmit, drop: p.dropXmit}
+	// Only block flushes completions around a drain: see the slot-reuse
+	// hazard in the OpInterrupt dispatch.
+	p.blkHold = holdQ{p: p, try: p.tryBlkSubmit, drop: p.dropBlkSubmit, flush: p.flushBlkComps}
+	for _, h := range []*holdQ{&p.txHold, &p.blkHold} {
+		h.pending, h.timer = make([][]uchan.Msg, len(accts)), make([]bool, len(accts))
 	}
 	ch.SetDriverHandler(p.dispatch)
 	ch.SetKernelHandler(p.routeDowncall)
@@ -441,6 +436,26 @@ func (p *Process) Unhang() { p.Chan.SetHung(false) }
 // sibling queues, the urgent lane and the control ring keep servicing.
 func (p *Process) HangQueue(q int) { p.Chan.HangQueue(q, true) }
 
+// queueProxy is what the supervisor drives on a chassis-backed proxy: park
+// and re-arm, and the zombie-incarnation evidence it harvests.
+type queueProxy interface {
+	ParkQueue(q int)
+	RearmQueue(q int)
+	StaleEpochDowncalls() uint64
+}
+
+// queueProxies lists the process's chassis-backed proxies, block first.
+func (p *Process) queueProxies() []queueProxy {
+	var qps []queueProxy
+	if p.Blk != nil {
+		qps = append(qps, p.Blk)
+	}
+	if p.Eth != nil {
+		qps = append(qps, p.Eth)
+	}
+	return qps
+}
+
 // routeDowncall demultiplexes driver→kernel messages to the class proxy (or
 // the common handlers) by operation range. Runs in kernel context; q is the
 // ring the downcall arrived on.
@@ -511,7 +526,8 @@ func (p *Process) dispatch(q int, m uchan.Msg) *uchan.Msg {
 		}
 		return r
 	case ethproxy.OpXmit:
-		p.handleXmit(q, m)
+		p.K.M.Trace.Event(trace.ClassNetTx, q, m.Args[2], trace.HopUchanDeq)
+		p.txHold.handle(q, m)
 		return &uchan.Msg{Seq: m.Seq}
 	case ethproxy.OpPageRecycle:
 		p.handleRecycle(q, m, ethproxy.OpRecycleAck)
@@ -537,8 +553,8 @@ func (p *Process) dispatch(q int, m uchan.Msg) *uchan.Msg {
 		}
 		// The handler reclaimed TX descriptors (or drained block
 		// completion queues); feed held work in.
-		p.drainPendingTx()
-		p.drainPendingBlk()
+		p.txHold.drain()
+		p.blkHold.drain()
 		// RX frames the handler collected ride out as per-queue batches
 		// on the same drain that serviced the interrupt.
 		p.flushRxBatches()
@@ -622,7 +638,10 @@ func (p *Process) dispatchBlock(q int, m uchan.Msg) *uchan.Msg {
 		// Flush barriers ride the same hold-queue machinery as
 		// submissions, so a full hardware queue delays — never drops —
 		// a barrier, and held work stays in order.
-		p.handleBlkSubmit(q, m)
+		if m.Op != blkproxy.OpFlush {
+			p.K.M.Trace.Event(trace.ClassBlk, q, m.Args[5], trace.HopUchanDeq)
+		}
+		p.blkHold.handle(q, m)
 		return &uchan.Msg{Seq: m.Seq}
 	case blkproxy.OpPageRecycle:
 		p.handleRecycle(q, m, blkproxy.OpRecycleAck)
@@ -655,8 +674,8 @@ func (p *Process) handleQueueEpoch(m uchan.Msg) {
 	}
 	p.qep[s.Queue] = uint64(s.Epoch)
 	p.qparked[s.Queue] = false
-	p.pendingBlk[s.Queue] = nil
-	p.pendingTx[s.Queue] = nil
+	p.blkHold.pending[s.Queue] = nil
+	p.txHold.pending[s.Queue] = nil
 	p.blkComp[s.Queue] = p.blkComp[s.Queue][:0]
 }
 
@@ -699,73 +718,92 @@ func replyErr(m uchan.Msg, err error) *uchan.Msg {
 	return r
 }
 
-// xmitRetryDelay is the fallback pacing when held packets cannot ride on an
+// xmitRetryDelay is the fallback pacing when held work cannot ride on an
 // interrupt (the UML qdisc timer).
 const xmitRetryDelay = 100 * sim.Microsecond
 
-// maxPendingTx bounds the UML-side transmit hold queue.
+// maxPendingTx bounds each UML-side hold queue.
 const maxPendingTx = uchan.RingSlots
 
-// handleXmit maps the shared TX slot and hands the frame to the driver's
-// hardware queue q. If that queue's device ring is full, the message is held
-// — slot unreleased — so a full ring backpressures the kernel through
-// shared-pool exhaustion instead of dropping packets and burning CPU on
-// doomed work. Hold queues and retry timers are per queue: one saturated
-// hardware queue never stalls a sibling's transmit path.
-func (p *Process) handleXmit(q int, m uchan.Msg) {
-	p.K.M.Trace.Event(trace.ClassNetTx, q, m.Args[2], trace.HopUchanDeq)
-	if len(p.pendingTx[q]) > 0 {
-		p.holdXmit(q, m)
-		return
-	}
-	if !p.tryXmit(q, m) {
-		p.holdXmit(q, m)
+// holdQ is one class's per-queue hold queue. An upcall whose hardware queue
+// is full is held — its shared slot unreleased — so a full ring
+// backpressures the kernel through shared-pool exhaustion instead of
+// dropping work and burning CPU on doomed retries. Held work drains in
+// order after the interrupt handler reclaims descriptors, or on a per-queue
+// retry timer; one saturated hardware queue never stalls a sibling.
+type holdQ struct {
+	p       *Process
+	pending [][]uchan.Msg
+	timer   []bool
+
+	// try hands one upcall to the driver, reporting false if its queue is
+	// full; drop completes one the hold queue has no room for. flush, when
+	// set, delivers completions gathered so far (block only).
+	try   func(q int, m uchan.Msg) bool
+	drop  func(q int, m uchan.Msg)
+	flush func()
+}
+
+// handle runs m on hardware queue q, or holds it behind earlier held work.
+func (h *holdQ) handle(q int, m uchan.Msg) {
+	if len(h.pending[q]) > 0 || !h.try(q, m) {
+		h.hold(q, m)
 	}
 }
 
-func (p *Process) holdXmit(q int, m uchan.Msg) {
-	if len(p.pendingTx[q]) >= maxPendingTx {
-		p.XmitRingDrops++
-		p.xmitDone(q, m.Args[2])
+func (h *holdQ) hold(q int, m uchan.Msg) {
+	if len(h.pending[q]) >= maxPendingTx {
+		h.drop(q, m)
 		return
 	}
-	p.pendingTx[q] = append(p.pendingTx[q], m)
-	if !p.retryTimer[q] {
-		p.retryTimer[q] = true
-		p.K.M.Loop.After(xmitRetryDelay, func() { p.retryPendingTx(q) })
+	h.pending[q] = append(h.pending[q], m)
+	h.arm(q)
+}
+
+func (h *holdQ) arm(q int) {
+	if !h.timer[q] {
+		h.timer[q] = true
+		h.p.K.M.Loop.After(xmitRetryDelay, func() { h.retry(q) })
 	}
 }
 
-func (p *Process) retryPendingTx(q int) {
-	p.retryTimer[q] = false
+func (h *holdQ) retry(q int) {
+	h.timer[q] = false
+	p := h.p
 	if p.killed {
 		return
 	}
 	p.QueueAccts[q].Charge(sim.CostUMLCall)
-	p.drainPendingTxQ(q)
+	if h.flush != nil {
+		h.flush()
+		p.Chan.Flush()
+	}
+	h.drainQ(q)
 	p.kickPending()
+	if h.flush != nil {
+		h.flush()
+	}
 	p.Chan.Flush()
-	if len(p.pendingTx[q]) > 0 && !p.retryTimer[q] {
-		p.retryTimer[q] = true
-		p.K.M.Loop.After(xmitRetryDelay, func() { p.retryPendingTx(q) })
+	if len(h.pending[q]) > 0 {
+		h.arm(q)
 	}
 }
 
-// drainPendingTx feeds every queue's held packets into the (hopefully
-// reclaimed) TX rings; the interrupt handler reclaims all rings at once.
-func (p *Process) drainPendingTx() {
-	for q := range p.pendingTx {
-		p.drainPendingTxQ(q)
+// drain feeds every queue's held work in; the interrupt handler reclaims
+// all hardware queues at once.
+func (h *holdQ) drain() {
+	for q := range h.pending {
+		h.drainQ(q)
 	}
 }
 
-// drainPendingTxQ feeds queue q's held packets in order.
-func (p *Process) drainPendingTxQ(q int) {
-	for len(p.pendingTx[q]) > 0 {
-		if !p.tryXmit(q, p.pendingTx[q][0]) {
+// drainQ feeds queue q's held work in order.
+func (h *holdQ) drainQ(q int) {
+	for len(h.pending[q]) > 0 {
+		if !h.try(q, h.pending[q][0]) {
 			return
 		}
-		p.pendingTx[q] = p.pendingTx[q][1:]
+		h.pending[q] = h.pending[q][1:]
 	}
 }
 
@@ -773,27 +811,12 @@ func (p *Process) drainPendingTxQ(q int) {
 // ring was full (the message should be held). Invalid references complete
 // immediately.
 func (p *Process) tryXmit(q int, m uchan.Msg) bool {
-	iova := mem.Addr(m.Args[0])
-	n := int(m.Args[1])
-	phys, ok := p.DF.PhysFor(iova)
+	frame, ok := p.sharedView(m.Args[0], m.Args[1])
 	if !ok {
-		p.XmitRingDrops++
-		p.xmitDone(q, m.Args[2])
+		p.dropXmit(q, m)
 		return true
 	}
-	frame, ok := p.K.M.Mem.Slice(phys, n)
-	if !ok {
-		p.XmitRingDrops++
-		p.xmitDone(q, m.Args[2])
-		return true
-	}
-	var err error
-	if mq, isMQ := p.netdev.(api.MultiQueueNetDevice); isMQ {
-		err = mq.StartXmitQ(frame, q)
-	} else {
-		err = p.netdev.StartXmit(frame)
-	}
-	if err != nil {
+	if err := p.netdev.StartXmitQ(frame, q); err != nil {
 		return false
 	}
 	p.K.M.Trace.Event(trace.ClassNetTx, q, m.Args[2], trace.HopDoorbell)
@@ -801,79 +824,26 @@ func (p *Process) tryXmit(q int, m uchan.Msg) bool {
 	return true
 }
 
+// sharedView maps the n-byte shared slot at iova, named by a kernel upcall,
+// into the process (zero copy).
+func (p *Process) sharedView(iova, n uint64) ([]byte, bool) {
+	phys, ok := p.DF.PhysFor(mem.Addr(iova))
+	if !ok {
+		return nil, false
+	}
+	return p.K.M.Mem.Slice(phys, int(n))
+}
+
+// dropXmit completes a transmit it cannot take, releasing its shared slot.
+func (p *Process) dropXmit(q int, m uchan.Msg) {
+	p.XmitRingDrops++
+	p.xmitDone(q, m.Args[2])
+}
+
 func (p *Process) xmitDone(q int, slot uint64) {
 	p.K.M.Trace.Event(trace.ClassNetTx, q, slot, trace.HopDrvComplete)
 	if err := p.Chan.DownQ(q, uchan.Msg{Op: ethproxy.OpXmitDone, Args: [6]uint64{slot}}); err != nil {
 		p.XmitRingDrops++
-	}
-}
-
-// handleBlkSubmit maps the submission's shared slot and hands the request
-// to the driver's hardware queue q. If that queue is full, the message is
-// held and retried after completion processing — the block mirror of
-// handleXmit, with per-queue hold queues so one saturated hardware queue
-// never stalls a sibling's submissions.
-func (p *Process) handleBlkSubmit(q int, m uchan.Msg) {
-	if m.Op != blkproxy.OpFlush {
-		p.K.M.Trace.Event(trace.ClassBlk, q, m.Args[5], trace.HopUchanDeq)
-	}
-	if len(p.pendingBlk[q]) > 0 {
-		p.holdBlkSubmit(q, m)
-		return
-	}
-	if !p.tryBlkSubmit(q, m) {
-		p.holdBlkSubmit(q, m)
-	}
-}
-
-func (p *Process) holdBlkSubmit(q int, m uchan.Msg) {
-	if len(p.pendingBlk[q]) >= maxPendingTx {
-		// Hold queue overflow: complete the request as a drop so the
-		// kernel's slot is released.
-		p.blkCompDone(q, m.Args[5], 1)
-		return
-	}
-	p.pendingBlk[q] = append(p.pendingBlk[q], m)
-	if !p.blkRetryTimer[q] {
-		p.blkRetryTimer[q] = true
-		p.K.M.Loop.After(xmitRetryDelay, func() { p.retryPendingBlk(q) })
-	}
-}
-
-func (p *Process) retryPendingBlk(q int) {
-	p.blkRetryTimer[q] = false
-	if p.killed {
-		return
-	}
-	p.QueueAccts[q].Charge(sim.CostUMLCall)
-	// Deliver any undelivered completion references before reusing their
-	// slots (see the OpInterrupt dispatch for the reuse hazard).
-	p.flushBlkComps()
-	p.Chan.Flush()
-	p.drainPendingBlkQ(q)
-	p.kickPending()
-	p.flushBlkComps()
-	p.Chan.Flush()
-	if len(p.pendingBlk[q]) > 0 && !p.blkRetryTimer[q] {
-		p.blkRetryTimer[q] = true
-		p.K.M.Loop.After(xmitRetryDelay, func() { p.retryPendingBlk(q) })
-	}
-}
-
-// drainPendingBlk feeds every queue's held submissions into the (hopefully
-// drained) hardware queues; the interrupt handler polls all of them.
-func (p *Process) drainPendingBlk() {
-	for q := range p.pendingBlk {
-		p.drainPendingBlkQ(q)
-	}
-}
-
-func (p *Process) drainPendingBlkQ(q int) {
-	for len(p.pendingBlk[q]) > 0 {
-		if !p.tryBlkSubmit(q, p.pendingBlk[q][0]) {
-			return
-		}
-		p.pendingBlk[q] = p.pendingBlk[q][1:]
 	}
 }
 
@@ -906,16 +876,9 @@ func (p *Process) tryBlkSubmit(q int, m uchan.Msg) bool {
 		Tag:   m.Args[5],
 	}
 	if req.Write {
-		iova := mem.Addr(m.Args[2])
-		n := int(m.Args[3])
-		phys, ok := p.DF.PhysFor(iova)
+		payload, ok := p.sharedView(m.Args[2], m.Args[3])
 		if !ok {
-			p.blkCompDone(q, req.Tag, 1)
-			return true
-		}
-		payload, ok := p.K.M.Mem.Slice(phys, n)
-		if !ok {
-			p.blkCompDone(q, req.Tag, 1)
+			p.dropBlkSubmit(q, m)
 			return true
 		}
 		req.Data = payload
@@ -926,6 +889,9 @@ func (p *Process) tryBlkSubmit(q int, m uchan.Msg) bool {
 	p.K.M.Trace.Event(trace.ClassBlk, q, req.Tag, trace.HopDoorbell)
 	return true
 }
+
+// dropBlkSubmit fails a submission it cannot take, releasing its slot.
+func (p *Process) dropBlkSubmit(q int, m uchan.Msg) { p.blkCompDone(q, m.Args[5], 1) }
 
 // blkCompDone reports a request finished with a bare status (no payload) —
 // used for kernel-side drops so the proxy releases the request's slot.
@@ -1290,16 +1256,8 @@ func (p *Process) completionRef(tag uint64, err error, data []byte) blkproxy.Com
 }
 
 // WakeQueueQ implements api.BlockKernel: queue q's hardware queue regained
-// space; the wake downcall rides queue q's own ring and names the queue,
-// so the proxy releases only that queue's block-core context.
-func (bk *umlBlockKernel) WakeQueueQ(q int) {
-	p := bk.p
-	if q < 0 || q >= len(p.QueueAccts) {
-		q = 0
-	}
-	p.QueueAccts[q].Charge(sim.CostUMLCall)
-	_ = p.Chan.DownQ(q, uchan.Msg{Op: blkproxy.OpWakeQueue, Args: [6]uint64{uint64(q)}})
-}
+// space.
+func (bk *umlBlockKernel) WakeQueueQ(q int) { bk.p.wakeQueue(q, blkproxy.OpWakeQueue) }
 
 // flushBlkCompQ emits queue q's accumulated completions as one batched
 // downcall message on ring q.
@@ -1536,13 +1494,16 @@ func (nk *umlNetKernel) CarrierOff() {
 }
 
 // WakeQueue mirrors TX queue state to the kernel: queue q's device ring
-// regained space; the wake downcall rides queue q's own ring and names the
-// queue, so the proxy releases only that queue's netstack context.
-func (nk *umlNetKernel) WakeQueue(q int) {
-	p := nk.p
+// regained space.
+func (nk *umlNetKernel) WakeQueue(q int) { nk.p.wakeQueue(q, ethproxy.OpWakeQueue) }
+
+// wakeQueue sends a class's wake downcall for hardware queue q. It rides
+// queue q's own ring and names the queue, so the proxy releases only that
+// queue's kernel context.
+func (p *Process) wakeQueue(q int, op uint32) {
 	if q < 0 || q >= len(p.QueueAccts) {
 		q = 0
 	}
 	p.QueueAccts[q].Charge(sim.CostUMLCall)
-	_ = p.Chan.DownQ(q, uchan.Msg{Op: ethproxy.OpWakeQueue, Args: [6]uint64{uint64(q)}})
+	_ = p.Chan.DownQ(q, uchan.Msg{Op: op, Args: [6]uint64{uint64(q)}})
 }
