@@ -179,7 +179,7 @@ type NIC struct {
 	mac    [6]byte
 	eeprom [64]uint16
 
-	regs map[uint64]uint32
+	regs pci.RegFile
 	tr   *trace.Tracer
 
 	// TX engine state, one engine per hardware queue. Each engine fetches
@@ -192,7 +192,7 @@ type NIC struct {
 	txBuf       [MaxTxQueues][ethlink.MaxFrame]byte
 
 	// RX engine state, one engine (and packet FIFO) per hardware queue.
-	rxQueue     [MaxRxQueues][][]byte // frames awaiting ring placement
+	rxQueue     [MaxRxQueues]sim.FIFO[[]byte] // frames awaiting ring placement
 	rxActive    [MaxRxQueues]bool
 	rxBusyUntil [MaxRxQueues]sim.Time
 	rxStepFn    [MaxRxQueues]func()
@@ -222,7 +222,7 @@ func New(loop *sim.Loop, bdf pci.BDF, barBase uint64, macAddr [6]byte, p Params)
 		loop:   loop,
 		params: p,
 		mac:    macAddr,
-		regs:   make(map[uint64]uint32),
+		regs:   pci.NewRegFile(BARSize),
 	}
 	for q := range n.txStepFn {
 		n.txStepFn[q] = func() { n.txStep(q) }
@@ -266,21 +266,18 @@ func (n *NIC) AttachLink(link *ethlink.Link, side int) {
 func (n *NIC) MAC() [6]byte { return n.mac }
 
 func (n *NIC) reset() {
-	for k := range n.regs {
-		delete(n.regs, k)
-	}
-	n.regs[RegITR] = 0
+	n.regs.Reset()
 	for q := range n.rxQueue {
-		n.rxQueue[q] = nil
+		n.rxQueue[q].Reset()
 	}
 	n.intPending = false
 	// RAL/RAH from EEPROM, as hardware autoloads.
-	n.regs[RegRAL] = uint32(n.mac[0]) | uint32(n.mac[1])<<8 | uint32(n.mac[2])<<16 | uint32(n.mac[3])<<24
-	n.regs[RegRAH] = uint32(n.mac[4]) | uint32(n.mac[5])<<8 | 1<<31
+	n.regs.Set(RegRAL, uint32(n.mac[0])|uint32(n.mac[1])<<8|uint32(n.mac[2])<<16|uint32(n.mac[3])<<24)
+	n.regs.Set(RegRAH, uint32(n.mac[4])|uint32(n.mac[5])<<8|1<<31)
 }
 
 func (n *NIC) linkUp() bool {
-	return n.link != nil && n.link.Carrier() && n.regs[RegCTRL]&CtrlSLU != 0
+	return n.link != nil && n.link.Carrier() && n.regs.Get(RegCTRL)&CtrlSLU != 0
 }
 
 // MMIORead implements pci.Device.
@@ -301,11 +298,11 @@ func (n *NIC) MMIORead(bar int, off uint64, size int) uint64 {
 		return uint64(n.rxQueues())
 	case RegICR:
 		// Read-to-clear.
-		v := n.regs[RegICR]
-		n.regs[RegICR] = 0
+		v := n.regs.Get(RegICR)
+		n.regs.Set(RegICR, 0)
 		return uint64(v)
 	default:
-		return uint64(n.regs[off])
+		return uint64(n.regs.Get(off))
 	}
 }
 
@@ -321,7 +318,7 @@ func (n *NIC) MMIOWrite(bar int, off uint64, size int, v uint64) {
 			n.reset()
 			return
 		}
-		n.regs[RegCTRL] = val
+		n.regs.Set(RegCTRL, val)
 	case RegEERD:
 		if val&EerdStart != 0 {
 			addr := (val >> 8) & 0xFF
@@ -329,26 +326,26 @@ func (n *NIC) MMIOWrite(bar int, off uint64, size int, v uint64) {
 			if int(addr) < len(n.eeprom) {
 				data = uint32(n.eeprom[addr])
 			}
-			n.regs[RegEERD] = EerdDone | data<<16
+			n.regs.Set(RegEERD, EerdDone|data<<16)
 		}
 	case RegIMS:
-		n.regs[RegIMS] |= val
+		n.regs.Set(RegIMS, n.regs.Get(RegIMS)|val)
 		n.maybeInterrupt()
 	case RegIMC:
-		n.regs[RegIMS] &^= val
+		n.regs.Set(RegIMS, n.regs.Get(RegIMS)&^val)
 	case RegICR:
-		n.regs[RegICR] &^= val // write-one-to-clear
+		n.regs.Set(RegICR, n.regs.Get(RegICR)&^val) // write-one-to-clear
 	default:
 		if q, rel, ok := rxQReg(off); ok && q < n.rxQueues() {
 			switch rel {
 			case RegRDT:
 				n.RDTWrites++
-				n.regs[off] = val % n.rxRingLen(q)
+				n.regs.Set(off, val%n.rxRingLen(q))
 				n.kickRx(q)
 			case RegRDH:
-				n.regs[off] = val % n.rxRingLen(q)
+				n.regs.Set(off, val%n.rxRingLen(q))
 			default:
-				n.regs[off] = val
+				n.regs.Set(off, val)
 			}
 			return
 		}
@@ -356,22 +353,22 @@ func (n *NIC) MMIOWrite(bar int, off uint64, size int, v uint64) {
 			switch rel {
 			case RegTDT:
 				n.TDTWrites++
-				n.regs[off] = val % n.txRingLen(q)
+				n.regs.Set(off, val%n.txRingLen(q))
 				n.kickTx(q)
 			case RegTDH:
-				n.regs[off] = val % n.txRingLen(q)
+				n.regs.Set(off, val%n.txRingLen(q))
 			default:
-				n.regs[off] = val
+				n.regs.Set(off, val)
 			}
 			return
 		}
 		if retaIndexFor(off) >= 0 {
 			// Reserved bits of a redirection entry are hardwired to
 			// zero: out-of-range queue values cannot be stored.
-			n.regs[off] = val & retaEntryMask
+			n.regs.Set(off, val&retaEntryMask)
 			return
 		}
-		n.regs[off] = val
+		n.regs.Set(off, val)
 	}
 }
 
@@ -439,7 +436,7 @@ func (n *NIC) IORead(bar int, off uint64, size int) uint32     { return 0xFFFFFF
 func (n *NIC) IOWrite(bar int, off uint64, size int, v uint32) {}
 
 func (n *NIC) txRingLen(q int) uint32 {
-	l := n.regs[TxQOff(q, RegTDLEN)] / DescSize
+	l := n.regs.Get(TxQOff(q, RegTDLEN)) / DescSize
 	if l == 0 {
 		return 1
 	}
@@ -447,7 +444,7 @@ func (n *NIC) txRingLen(q int) uint32 {
 }
 
 func (n *NIC) rxRingLen(q int) uint32 {
-	l := n.regs[RxQOff(q, RegRDLEN)] / DescSize
+	l := n.regs.Get(RxQOff(q, RegRDLEN)) / DescSize
 	if l == 0 {
 		return 1
 	}
@@ -455,11 +452,11 @@ func (n *NIC) rxRingLen(q int) uint32 {
 }
 
 func (n *NIC) txBase(q int) mem.Addr {
-	return mem.Addr(uint64(n.regs[TxQOff(q, RegTDBAH)])<<32 | uint64(n.regs[TxQOff(q, RegTDBAL)]))
+	return mem.Addr(uint64(n.regs.Get(TxQOff(q, RegTDBAH)))<<32 | uint64(n.regs.Get(TxQOff(q, RegTDBAL))))
 }
 
 func (n *NIC) rxBase(q int) mem.Addr {
-	return mem.Addr(uint64(n.regs[RxQOff(q, RegRDBAH)])<<32 | uint64(n.regs[RxQOff(q, RegRDBAL)]))
+	return mem.Addr(uint64(n.regs.Get(RxQOff(q, RegRDBAH)))<<32 | uint64(n.regs.Get(RxQOff(q, RegRDBAL))))
 }
 
 // --- Interrupts -----------------------------------------------------------
@@ -467,18 +464,18 @@ func (n *NIC) rxBase(q int) mem.Addr {
 // itrInterval returns the minimum gap between interrupts (ITR register is in
 // 256 ns units, as on hardware).
 func (n *NIC) itrInterval() sim.Duration {
-	return sim.Duration(n.regs[RegITR]) * 256
+	return sim.Duration(n.regs.Get(RegITR)) * 256
 }
 
 // assertCause latches an interrupt cause and raises an interrupt subject to
 // masking and throttling.
 func (n *NIC) assertCause(bits uint32) {
-	n.regs[RegICR] |= bits
+	n.regs.Set(RegICR, n.regs.Get(RegICR)|bits)
 	n.maybeInterrupt()
 }
 
 func (n *NIC) maybeInterrupt() {
-	if n.regs[RegICR]&n.regs[RegIMS] == 0 {
+	if n.regs.Get(RegICR)&n.regs.Get(RegIMS) == 0 {
 		return
 	}
 	now := n.loop.Now()
@@ -504,10 +501,10 @@ func (n *NIC) maybeInterrupt() {
 // --- TX engine ------------------------------------------------------------
 
 func (n *NIC) kickTx(q int) {
-	if n.txActive[q] || n.regs[RegTCTL]&TctlEN == 0 {
+	if n.txActive[q] || n.regs.Get(RegTCTL)&TctlEN == 0 {
 		return
 	}
-	if n.regs[TxQOff(q, RegTDH)] == n.regs[TxQOff(q, RegTDT)] {
+	if n.regs.Get(TxQOff(q, RegTDH)) == n.regs.Get(TxQOff(q, RegTDT)) {
 		return
 	}
 	n.txActive[q] = true
@@ -525,8 +522,8 @@ func (n *NIC) kickTx(q int) {
 // buffer faults at the walk.
 func (n *NIC) txStep(q int) {
 	n.txActive[q] = false
-	head := n.regs[TxQOff(q, RegTDH)]
-	if head == n.regs[TxQOff(q, RegTDT)] || n.regs[RegTCTL]&TctlEN == 0 {
+	head := n.regs.Get(TxQOff(q, RegTDH))
+	if head == n.regs.Get(TxQOff(q, RegTDT)) || n.regs.Get(RegTCTL)&TctlEN == 0 {
 		return
 	}
 	descAddr := n.txBase(q) + mem.Addr(head*DescSize)
@@ -572,13 +569,13 @@ func (n *NIC) txStep(q int) {
 
 func (n *NIC) advanceTxHead(q int, engine sim.Duration) {
 	hdOff, tlOff := TxQOff(q, RegTDH), TxQOff(q, RegTDT)
-	n.regs[hdOff] = (n.regs[hdOff] + 1) % n.txRingLen(q)
+	n.regs.Set(hdOff, (n.regs.Get(hdOff)+1)%n.txRingLen(q))
 	now := n.loop.Now()
 	if n.txBusyUntil[q] < now {
 		n.txBusyUntil[q] = now
 	}
 	n.txBusyUntil[q] += engine
-	if n.regs[hdOff] != n.regs[tlOff] {
+	if n.regs.Get(hdOff) != n.regs.Get(tlOff) {
 		n.txActive[q] = true
 		n.loop.At(n.txBusyUntil[q], n.txStepFn[q])
 	}
@@ -619,28 +616,28 @@ func (n *NIC) steerQueue(frame []byte) int {
 	// The stored entry is already masked to retaEntryMask; the modulo
 	// keeps it inside the *active* queue count even if the driver enabled
 	// fewer queues than the mask allows.
-	return int(n.regs[RegRETA+uint64(4*idx)]) % nq
+	return int(n.regs.Get(RegRETA+uint64(4*idx))) % nq
 }
 
 // LinkDeliver implements ethlink.Endpoint: a frame arrived from the wire and
 // is steered to an RX ring by the RSS hash.
 func (n *NIC) LinkDeliver(frame []byte) {
-	if n.regs[RegRCTL]&RctlEN == 0 || !n.linkUp() {
+	if n.regs.Get(RegRCTL)&RctlEN == 0 || !n.linkUp() {
 		return
 	}
 	q := n.steerQueue(frame)
 	// Hardware FIFO: bounded per ring; beyond it the receiver overruns.
-	if len(n.rxQueue[q]) >= 256 {
+	if n.rxQueue[q].Len() >= 256 {
 		n.RxDropsNoDesc++
 		n.assertCause(IntRXO)
 		return
 	}
-	n.rxQueue[q] = append(n.rxQueue[q], frame)
+	n.rxQueue[q].Push(frame)
 	n.kickRx(q)
 }
 
 func (n *NIC) kickRx(q int) {
-	if n.rxActive[q] || len(n.rxQueue[q]) == 0 {
+	if n.rxActive[q] || n.rxQueue[q].Len() == 0 {
 		return
 	}
 	n.rxActive[q] = true
@@ -657,22 +654,21 @@ func (n *NIC) kickRx(q int) {
 // mirror of txStep's tagging).
 func (n *NIC) rxStep(q int) {
 	n.rxActive[q] = false
-	if len(n.rxQueue[q]) == 0 {
+	if n.rxQueue[q].Len() == 0 {
 		return
 	}
 	// Hardware owns descriptors in [RDH, RDT); RDH == RDT means software
 	// has not replenished the ring.
-	head := n.regs[RxQOff(q, RegRDH)]
-	if head == n.regs[RxQOff(q, RegRDT)] {
+	head := n.regs.Get(RxQOff(q, RegRDH))
+	if head == n.regs.Get(RxQOff(q, RegRDT)) {
 		// No free descriptors: drop.
 		n.RxDropsNoDesc++
-		n.rxQueue[q] = n.rxQueue[q][1:]
+		n.rxQueue[q].Pop()
 		n.assertCause(IntRXO)
 		n.kickRx(q)
 		return
 	}
-	frame := n.rxQueue[q][0]
-	n.rxQueue[q] = n.rxQueue[q][1:]
+	frame := n.rxQueue[q].Pop()
 
 	engine := n.params.RxPerPacket
 	descAddr := n.rxBase(q) + mem.Addr(head*DescSize)
@@ -691,7 +687,7 @@ func (n *NIC) rxStep(q int) {
 		return
 	}
 	engine += sim.DMA(len(frame))
-	n.tr.Mark(trace.ClassNetRx, q, uint64(bufAddr))
+	n.tr.Mark(trace.MarkNetRx, q, uint64(bufAddr))
 	n.tr.Event(trace.ClassNetRx, q, uint64(bufAddr), trace.HopDevComplete)
 
 	// Write back length + DD|EOP status.
@@ -704,7 +700,7 @@ func (n *NIC) rxStep(q int) {
 	}
 	engine += sim.DMA(DescSize)
 
-	n.regs[RxQOff(q, RegRDH)] = (head + 1) % n.rxRingLen(q)
+	n.regs.Set(RxQOff(q, RegRDH), (head+1)%n.rxRingLen(q))
 	n.RxPackets++
 	n.RxBytes += uint64(len(frame))
 	n.assertCause(IntRXT0)
@@ -717,7 +713,7 @@ func (n *NIC) finishRx(q int, engine sim.Duration) {
 		n.rxBusyUntil[q] = now
 	}
 	n.rxBusyUntil[q] += engine
-	if len(n.rxQueue[q]) > 0 {
+	if n.rxQueue[q].Len() > 0 {
 		n.rxActive[q] = true
 		n.loop.At(n.rxBusyUntil[q], n.rxStepFn[q])
 	}

@@ -256,7 +256,7 @@ type Ctrl struct {
 	loop   *sim.Loop
 	params Params
 
-	regs  map[uint64]uint32
+	regs  pci.RegFile
 	ready bool
 	tr    *trace.Tracer
 
@@ -330,7 +330,7 @@ func New(loop *sim.Loop, bdf pci.BDF, barBase uint64, p Params) *Ctrl {
 	c := &Ctrl{
 		loop:   loop,
 		params: p,
-		regs:   make(map[uint64]uint32),
+		regs:   pci.NewRegFile(BARSize),
 		blocks: p.Blocks,
 		media:  make([]byte, int(p.Blocks)*BlockSize),
 		cache:  make(map[uint64][]byte),
@@ -386,9 +386,7 @@ func (c *Ctrl) PeekMedia(lba uint64) []byte {
 }
 
 func (c *Ctrl) reset() {
-	for k := range c.regs {
-		delete(c.regs, k)
-	}
+	c.regs.Reset()
 	c.ready = false
 	c.intPending = 0
 	for i := range c.sq {
@@ -399,13 +397,13 @@ func (c *Ctrl) reset() {
 	// driver restart) does not lose it — only PowerFail does. The enable
 	// bit returns to its power-on default.
 	if c.params.CacheBlocks > 0 {
-		c.regs[RegVWC] = VwcEnable
+		c.regs.Set(RegVWC, VwcEnable)
 	}
 }
 
 // cacheOn reports whether writes currently land in the volatile cache.
 func (c *Ctrl) cacheOn() bool {
-	return c.params.CacheBlocks > 0 && c.regs[RegVWC]&VwcEnable != 0
+	return c.params.CacheBlocks > 0 && c.regs.Get(RegVWC)&VwcEnable != 0
 }
 
 // DirtyBlocks reports the volatile-cache occupancy: acked writes that
@@ -424,9 +422,9 @@ func (c *Ctrl) PowerFail() {
 	c.LostBlocks = uint64(len(c.cache))
 	c.cache = make(map[uint64][]byte)
 	c.cacheOrder = c.cacheOrder[:0]
-	cc := c.regs[RegCC]
+	cc := c.regs.Get(RegCC)
 	c.reset()
-	c.regs[RegCC] = cc &^ CcEnable
+	c.regs.Set(RegCC, cc&^CcEnable)
 }
 
 // drainOne writes the oldest dirty cache block to media and returns its
@@ -499,14 +497,14 @@ func (c *Ctrl) MMIORead(bar int, off uint64, size int) uint64 {
 		}
 		return 0
 	case RegINTMS, RegINTMC:
-		return uint64(c.regs[RegINTMS])
+		return uint64(c.regs.Get(RegINTMS))
 	case RegVWC:
 		// Enable bit plus occupancy; the count is clamped by construction
 		// (the cache never exceeds CacheBlocks), so a driver reading this
 		// register cannot observe an impossible state.
-		return uint64(c.regs[RegVWC]&VwcEnable) | uint64(len(c.cache))<<16
+		return uint64(c.regs.Get(RegVWC)&VwcEnable) | uint64(len(c.cache))<<16
 	default:
-		return uint64(c.regs[off])
+		return uint64(c.regs.Get(off))
 	}
 }
 
@@ -518,35 +516,35 @@ func (c *Ctrl) MMIOWrite(bar int, off uint64, size int, v uint64) {
 	val := uint32(v)
 	switch off {
 	case RegCC:
-		was := c.regs[RegCC]
-		c.regs[RegCC] = val
+		was := c.regs.Get(RegCC)
+		c.regs.Set(RegCC, val)
 		if val&CcEnable != 0 && was&CcEnable == 0 {
 			c.enable()
 		} else if val&CcEnable == 0 && was&CcEnable != 0 {
-			cc := c.regs[RegCC] // controller reset clears all queue state
+			cc := c.regs.Get(RegCC) // controller reset clears all queue state
 			c.reset()
-			c.regs[RegCC] = cc &^ CcEnable
+			c.regs.Set(RegCC, cc&^CcEnable)
 		}
 	case RegINTMS:
-		c.regs[RegINTMS] |= val
+		c.regs.Set(RegINTMS, c.regs.Get(RegINTMS)|val)
 	case RegINTMC:
-		c.regs[RegINTMS] &^= val
+		c.regs.Set(RegINTMS, c.regs.Get(RegINTMS)&^val)
 		c.maybeInterrupt()
 	case RegAQA, RegASQL, RegASQH, RegACQL, RegACQH:
-		c.regs[off] = val
+		c.regs.Set(off, val)
 	case RegVWC:
 		// Only the enable bit is writable, and only on a part that has a
 		// cache — everything else a driver scribbles here is dropped at
 		// the decode, like the doorbell clamp.
 		if c.params.CacheBlocks > 0 {
-			c.regs[RegVWC] = val & VwcEnable
+			c.regs.Set(RegVWC, val&VwcEnable)
 		}
 	default:
 		if qid, isCQ, ok := doorbellFor(off); ok {
 			c.doorbell(qid, isCQ, val)
 			return
 		}
-		c.regs[off] = val
+		c.regs.Set(off, val)
 	}
 }
 
@@ -581,7 +579,7 @@ func (c *Ctrl) doorbell(qid int, isCQ bool, val uint32) {
 			c.BadDoorbells++
 			return
 		}
-		c.regs[CQDoorbell(qid)] = val % cq.size
+		c.regs.Set(CQDoorbell(qid), val%cq.size)
 		// Freeing CQ space may unblock a stalled engine — any engine
 		// whose SQ completes into this CQ (createSQ permits fan-in,
 		// cqid != qid, as real NVMe does).
@@ -602,11 +600,11 @@ func (c *Ctrl) doorbell(qid int, isCQ bool, val uint32) {
 		// I/O SQ tail MMIO arrivals (admin is control plane).
 		c.SQDoorbellWrites++
 	}
-	c.regs[SQDoorbell(qid)] = val % sq.size
+	c.regs.Set(SQDoorbell(qid), val%sq.size)
 	if qid == 0 {
 		// Admin commands are control plane: executed inline, no engine
 		// time modelled.
-		for c.sq[0].created && c.sq[0].head != c.regs[SQDoorbell(0)] {
+		for c.sq[0].created && c.sq[0].head != c.regs.Get(SQDoorbell(0)) {
 			c.adminStep()
 		}
 		return
@@ -617,7 +615,7 @@ func (c *Ctrl) doorbell(qid int, isCQ bool, val uint32) {
 // --- queue plumbing ---------------------------------------------------------
 
 func (c *Ctrl) enable() {
-	aqa := c.regs[RegAQA]
+	aqa := c.regs.Get(RegAQA)
 	asqs := aqa&0xFFF + 1
 	acqs := (aqa>>16)&0xFFF + 1
 	if asqs > MaxQueueEntries {
@@ -628,13 +626,13 @@ func (c *Ctrl) enable() {
 	}
 	c.sq[0] = sqState{
 		created: true,
-		base:    mem.Addr(uint64(c.regs[RegASQH])<<32 | uint64(c.regs[RegASQL])),
+		base:    mem.Addr(uint64(c.regs.Get(RegASQH))<<32 | uint64(c.regs.Get(RegASQL))),
 		size:    asqs,
 		cqid:    0,
 	}
 	c.cq[0] = cqState{
 		created: true,
-		base:    mem.Addr(uint64(c.regs[RegACQH])<<32 | uint64(c.regs[RegACQL])),
+		base:    mem.Addr(uint64(c.regs.Get(RegACQH))<<32 | uint64(c.regs.Get(RegACQL))),
 		size:    acqs,
 		phase:   true,
 	}
@@ -651,7 +649,7 @@ func (c *Ctrl) postCQE(cqid int, sqid int, cid uint16, result uint32, status uin
 		return true // nowhere to complete to; drop silently like hardware
 	}
 	next := (cq.tail + 1) % cq.size
-	if next == c.regs[CQDoorbell(cqid)] {
+	if next == c.regs.Get(CQDoorbell(cqid)) {
 		c.CQOverruns++
 		return false
 	}
@@ -680,11 +678,11 @@ func (c *Ctrl) postCQE(cqid int, sqid int, cid uint16, result uint32, status uin
 
 // coalesceInterval returns the minimum gap between completion interrupts.
 func (c *Ctrl) coalesceInterval() sim.Duration {
-	return sim.Duration(c.regs[RegINTCOAL]) * 256
+	return sim.Duration(c.regs.Get(RegINTCOAL)) * 256
 }
 
 func (c *Ctrl) maybeInterrupt() {
-	if c.intPending&^c.regs[RegINTMS] == 0 {
+	if c.intPending&^c.regs.Get(RegINTMS) == 0 {
 		return
 	}
 	// Interrupt coalescing: completions inside the interval aggregate
@@ -710,7 +708,7 @@ func (c *Ctrl) maybeInterrupt() {
 		c.InterruptsRaised++
 		// Only the unmasked causes were delivered; causes for masked
 		// CQs stay latched until RegINTMC unmasks them.
-		c.intPending &= c.regs[RegINTMS]
+		c.intPending &= c.regs.Get(RegINTMS)
 	} else {
 		c.InterruptsSuppressedBy++
 	}
@@ -789,7 +787,7 @@ func (c *Ctrl) createCQ(sqe []byte) uint16 {
 		size:    size,
 		phase:   true,
 	}
-	c.regs[CQDoorbell(qid)] = 0
+	c.regs.Set(CQDoorbell(qid), 0)
 	return StatusOK
 }
 
@@ -819,7 +817,7 @@ func (c *Ctrl) createSQ(sqe []byte) uint16 {
 		size:    size,
 		cqid:    cqid,
 	}
-	c.regs[SQDoorbell(qid)] = 0
+	c.regs.Set(SQDoorbell(qid), 0)
 	return StatusOK
 }
 
@@ -849,7 +847,7 @@ func (c *Ctrl) deleteQueue(sqe []byte, isCQ bool) uint16 {
 
 func (c *Ctrl) kickEngine(qid int) {
 	sq := &c.sq[qid]
-	if c.engineActive[qid] || !sq.created || sq.head == c.regs[SQDoorbell(qid)] {
+	if c.engineActive[qid] || !sq.created || sq.head == c.regs.Get(SQDoorbell(qid)) {
 		return
 	}
 	c.engineActive[qid] = true
@@ -866,7 +864,7 @@ func (c *Ctrl) kickEngine(qid int) {
 func (c *Ctrl) ioStep(qid int) {
 	c.engineActive[qid] = false
 	sq := &c.sq[qid]
-	if !sq.created || sq.head == c.regs[SQDoorbell(qid)] {
+	if !sq.created || sq.head == c.regs.Get(SQDoorbell(qid)) {
 		return
 	}
 	sqe := c.ioSQE[:]
@@ -1047,7 +1045,7 @@ func (c *Ctrl) finishIO(qid int, engine sim.Duration) {
 	}
 	c.engineBusyUntil[qid] += engine
 	sq := &c.sq[qid]
-	if sq.created && sq.head != c.regs[SQDoorbell(qid)] {
+	if sq.created && sq.head != c.regs.Get(SQDoorbell(qid)) {
 		c.engineActive[qid] = true
 		c.loop.At(c.engineBusyUntil[qid], c.step[qid])
 	}

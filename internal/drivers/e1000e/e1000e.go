@@ -144,6 +144,10 @@ type nic struct {
 	itrCur    uint32
 	lowStreak int
 
+	// descScratch stages a TX or RX descriptor for writeDesc, which
+	// borrows it for the call.
+	descScratch [e1000.DescSize]byte
+
 	// Counters (visible to tests and the stats ioctl).
 	TxPkts, RxPkts, TxDrops uint64
 	Interrupts              uint64
@@ -362,7 +366,8 @@ func (n *nic) StartXmitQ(frame []byte, q int) error {
 		return err
 	}
 	// Build the legacy TX descriptor.
-	var desc [e1000.DescSize]byte
+	desc := &n.descScratch
+	*desc = [e1000.DescSize]byte{}
 	putLE64(desc[0:8], uint64(t.bufs.BusAddr())+uint64(bufOff))
 	putLE16(desc[8:10], uint16(len(frame)))
 	desc[11] = e1000.TxCmdEOP | e1000.TxCmdRS
@@ -571,7 +576,8 @@ func (n *nic) RecyclePages(q int, pages []mem.Addr) {
 // status.
 func (n *nic) armRxDesc(q, i int) {
 	r := &n.rx[q]
-	var desc [e1000.DescSize]byte
+	desc := &n.descScratch
+	*desc = [e1000.DescSize]byte{}
 	putLE64(desc[0:8], uint64(r.bufs.BusAddr())+uint64(i*BufSize))
 	if err := n.writeDesc(r.ring, i, desc[:]); err != nil {
 		n.env.Logf("e1000e: arm rx desc %d/%d: %v", q, i, err)

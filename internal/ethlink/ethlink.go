@@ -47,6 +47,13 @@ type Link struct {
 	busyUntil [2]sim.Time
 	carrier   bool
 
+	// wire holds, per sending side, the frames in flight oldest first,
+	// each with the endpoint it was sent to. Delivery times on one side
+	// never decrease, so each delivery event (deliverFn) hands over the
+	// oldest frame, and sending schedules no closure.
+	wire      [2]sim.FIFO[inflight]
+	deliverFn [2]func()
+
 	// Stats per direction (index = sending side).
 	frames [2]uint64
 	bytes  [2]uint64
@@ -58,10 +65,22 @@ type Link struct {
 	QueueLimit sim.Duration
 }
 
+type inflight struct {
+	to    Endpoint
+	frame []byte
+}
+
 // NewGigabit returns a 1 Gb/s link with the given propagation delay (a
 // switched LAN hop is sub-microsecond; the paper used one switch).
 func NewGigabit(loop *sim.Loop, prop sim.Duration) *Link {
-	return &Link{loop: loop, rate: GigabitBps, prop: prop, carrier: true, QueueLimit: 2 * sim.Millisecond}
+	l := &Link{loop: loop, rate: GigabitBps, prop: prop, carrier: true, QueueLimit: 2 * sim.Millisecond}
+	for side := range l.deliverFn {
+		l.deliverFn[side] = func() {
+			f := l.wire[side].Pop()
+			f.to.LinkDeliver(f.frame)
+		}
+	}
+	return l
 }
 
 // Connect attaches both endpoints. Side 0 and 1 are arbitrary but fixed.
@@ -122,7 +141,8 @@ func (l *Link) Send(side int, frame []byte) error {
 	l.bytes[side] += uint64(len(frame))
 	buf := make([]byte, len(frame))
 	copy(buf, frame)
-	l.loop.At(done+l.prop, func() { peer.LinkDeliver(buf) })
+	l.wire[side].Push(inflight{to: peer, frame: buf})
+	l.loop.At(done+l.prop, l.deliverFn[side])
 	return nil
 }
 

@@ -8,8 +8,7 @@ import (
 
 // tlbKey names one cached translation. Entries are keyed by the issuing
 // stream as well as the device, as PASID-tagged IOTLBs are: two streams of
-// one device never alias each other's cached translations. The fields are
-// word-sized so the key has no padding and the map hashes it in one pass.
+// one device never alias each other's cached translations.
 type tlbKey struct {
 	page   mem.Addr
 	stream int
@@ -20,11 +19,71 @@ type tlbKey struct {
 // FIFO. Real VT-d IOTLBs are of this order.
 const iotlbSize = 64
 
+// The IOTLB index is an open-addressed table of tlbSlots entries, linear
+// probing from a multiplicative hash of the key. tlbSlots is a power of two
+// at least twice iotlbSize, so the table is never more than half full and
+// every probe sequence ends at an empty slot within a few steps.
+const (
+	tlbBits  = 7
+	tlbSlots = 1 << tlbBits
+	tlbMask  = tlbSlots - 1
+)
+
+type tlbSlot struct {
+	key  tlbKey
+	e    pte
+	used bool
+}
+
+// tlbHome is the slot a key's probe sequence starts at.
+func tlbHome(k tlbKey) int {
+	h := uint64(k.page)>>mem.PageShift ^ k.bdf<<40 ^ uint64(k.stream)<<56
+	return int(h * 0x9E3779B97F4A7C15 >> (64 - tlbBits))
+}
+
 // queueKey addresses one per-queue sub-domain: the device plus the stream
 // tag its hardware queue stamps on DMA (a PASID in real silicon).
 type queueKey struct {
 	bdf    pci.BDF
 	stream int
+}
+
+// domTable attaches domains to keys: devices for the unit's domain table,
+// (device, stream) pairs for its sub-domains. A machine has a handful of
+// each, so the table is a short slice scanned in attach order rather than
+// hashed.
+type domTable[K comparable] []domRow[K]
+
+type domRow[K comparable] struct {
+	key K
+	dom *Domain
+}
+
+// get returns the domain attached for k, or nil.
+func (t domTable[K]) get(k K) *Domain {
+	for _, r := range t {
+		if r.key == k {
+			return r.dom
+		}
+	}
+	return nil
+}
+
+// set attaches dom for k, replacing any previous one; nil detaches.
+func (t *domTable[K]) set(k K, dom *Domain) {
+	for i, r := range *t {
+		if r.key == k {
+			if dom == nil {
+				*t = append((*t)[:i], (*t)[i+1:]...)
+			} else {
+				(*t)[i].dom = dom
+			}
+			return
+		}
+	}
+	if dom != nil {
+		*t = append(*t, domRow[K]{k, dom})
+	}
 }
 
 // Unit is the DMA-remapping hardware unit at the root complex. All upstream
@@ -41,8 +100,8 @@ type Unit struct {
 	Cfg   Config
 	clock *sim.Clock
 
-	domains map[pci.BDF]*Domain
-	qdoms   map[queueKey]*Domain
+	domains domTable[pci.BDF]
+	qdoms   domTable[queueKey]
 	nextID  int
 
 	// The IOTLB: tlb indexes the cached translations, tlbFIFO holds
@@ -50,7 +109,7 @@ type Unit struct {
 	// tlbBuf that slides right as entries are evicted and is moved back
 	// to the front when it reaches the end, so eviction is amortised
 	// O(1) and never allocates.
-	tlb     map[tlbKey]pte
+	tlb     [tlbSlots]tlbSlot
 	tlbFIFO []tlbKey
 	tlbBuf  [2 * iotlbSize]tlbKey
 	tlbHit  uint64
@@ -68,13 +127,7 @@ type Unit struct {
 // rejected (the safe default SUD needs; the trusted kernel attaches a
 // pass-through domain for devices it drives itself).
 func New(cfg Config, clock *sim.Clock) *Unit {
-	return &Unit{
-		Cfg:     cfg,
-		clock:   clock,
-		domains: make(map[pci.BDF]*Domain),
-		qdoms:   make(map[queueKey]*Domain),
-		tlb:     make(map[tlbKey]pte, iotlbSize),
-	}
+	return &Unit{Cfg: cfg, clock: clock}
 }
 
 // NewDomain allocates a fresh, empty domain.
@@ -86,16 +139,12 @@ func (u *Unit) NewDomain() *Domain {
 // Attach routes DMA from bdf through dom. Passing nil detaches the device,
 // after which its DMA faults.
 func (u *Unit) Attach(bdf pci.BDF, dom *Domain) {
-	if dom == nil {
-		delete(u.domains, bdf)
-	} else {
-		u.domains[bdf] = dom
-	}
+	u.domains.set(bdf, dom)
 	u.InvalidateDevice(bdf)
 }
 
 // Domain returns the domain currently attached to bdf, or nil.
-func (u *Unit) Domain(bdf pci.BDF) *Domain { return u.domains[bdf] }
+func (u *Unit) Domain(bdf pci.BDF) *Domain { return u.domains.get(bdf) }
 
 // AttachQueue routes DMA stamped with stream from bdf through dom — the
 // per-queue sub-domain attach. Passing nil detaches the sub-domain, after
@@ -105,25 +154,20 @@ func (u *Unit) AttachQueue(bdf pci.BDF, stream int, dom *Domain) {
 	if stream == 0 {
 		return
 	}
-	k := queueKey{bdf: bdf, stream: stream}
-	if dom == nil {
-		delete(u.qdoms, k)
-	} else {
-		u.qdoms[k] = dom
-	}
+	u.qdoms.set(queueKey{bdf: bdf, stream: stream}, dom)
 	u.InvalidateStream(bdf, stream)
 }
 
 // QueueDomain returns the sub-domain attached for (bdf, stream), or nil.
 func (u *Unit) QueueDomain(bdf pci.BDF, stream int) *Domain {
-	return u.qdoms[queueKey{bdf: bdf, stream: stream}]
+	return u.qdoms.get(queueKey{bdf: bdf, stream: stream})
 }
 
 // QueueDomains reports how many per-queue sub-domains bdf has attached.
 func (u *Unit) QueueDomains(bdf pci.BDF) int {
 	n := 0
-	for k := range u.qdoms {
-		if k.bdf == bdf {
+	for _, q := range u.qdoms {
+		if q.key.bdf == bdf {
 			n++
 		}
 	}
@@ -141,8 +185,8 @@ func (u *Unit) Translate(bdf pci.BDF, iova mem.Addr, write bool) (mem.Addr, sim.
 // latency is device-side DMA engine time (IOTLB miss walk), not CPU time. A
 // rejected translation is logged and reported to OnFault.
 func (u *Unit) TranslateQ(bdf pci.BDF, stream int, iova mem.Addr, write bool) (mem.Addr, sim.Duration, error) {
-	dom, ok := u.domains[bdf]
-	if !ok {
+	dom := u.Domain(bdf)
+	if dom == nil {
 		return 0, 0, u.faultQ(bdf, stream, iova, write, "no domain attached")
 	}
 
@@ -155,7 +199,8 @@ func (u *Unit) TranslateQ(bdf pci.BDF, stream int, iova mem.Addr, write bool) (m
 	}
 
 	key := tlbKey{page: mem.PageAlign(iova), stream: stream, bdf: uint64(bdf)}
-	if e, hit := u.tlb[key]; hit {
+	if i := u.tlbFind(key); i >= 0 {
+		e := u.tlb[i].e
 		u.tlbHit++
 		if err := checkPerm(e.perm, write); err != "" {
 			return 0, 0, u.faultQ(bdf, stream, iova, write, err)
@@ -165,7 +210,7 @@ func (u *Unit) TranslateQ(bdf pci.BDF, stream int, iova mem.Addr, write bool) (m
 	u.tlbMiss++
 	u.walks++
 	if stream != 0 {
-		if qd, qok := u.qdoms[queueKey{bdf: bdf, stream: stream}]; qok {
+		if qd := u.QueueDomain(bdf, stream); qd != nil {
 			dom = qd
 		}
 	}
@@ -180,10 +225,38 @@ func (u *Unit) TranslateQ(bdf pci.BDF, stream int, iova mem.Addr, write bool) (m
 	return entry.phys + mem.Addr(mem.PageOffset(iova)), sim.CostIOMMUWalk, nil
 }
 
-// tlbInsert caches a translation, evicting the oldest one when full.
+// tlbFind returns the slot caching key, or -1.
+func (u *Unit) tlbFind(key tlbKey) int {
+	for i := tlbHome(key); u.tlb[i].used; i = (i + 1) & tlbMask {
+		if u.tlb[i].key == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// tlbDelete removes key from the index by backward-shift deletion: each
+// later entry of the probe run moves into the freed slot when that slot
+// lies on its own probe path, so lookups never need tombstones.
+func (u *Unit) tlbDelete(key tlbKey) {
+	i := u.tlbFind(key)
+	if i < 0 {
+		return
+	}
+	for j := (i + 1) & tlbMask; u.tlb[j].used; j = (j + 1) & tlbMask {
+		if (j-tlbHome(u.tlb[j].key))&tlbMask >= (j-i)&tlbMask {
+			u.tlb[i] = u.tlb[j]
+			i = j
+		}
+	}
+	u.tlb[i] = tlbSlot{}
+}
+
+// tlbInsert caches a translation for a key not yet cached, evicting the
+// oldest one when full.
 func (u *Unit) tlbInsert(key tlbKey, e pte) {
 	if len(u.tlbFIFO) >= iotlbSize {
-		delete(u.tlb, u.tlbFIFO[0])
+		u.tlbDelete(u.tlbFIFO[0])
 		u.tlbFIFO = u.tlbFIFO[1:]
 	}
 	if len(u.tlbFIFO) == cap(u.tlbFIFO) {
@@ -191,7 +264,11 @@ func (u *Unit) tlbInsert(key tlbKey, e pte) {
 		u.tlbFIFO = u.tlbBuf[:n]
 	}
 	u.tlbFIFO = append(u.tlbFIFO, key)
-	u.tlb[key] = e
+	i := tlbHome(key)
+	for u.tlb[i].used {
+		i = (i + 1) & tlbMask
+	}
+	u.tlb[i] = tlbSlot{key: key, e: e, used: true}
 }
 
 // tlbDrop evicts every cached translation drop selects, keeping the FIFO
@@ -200,7 +277,7 @@ func (u *Unit) tlbDrop(drop func(tlbKey) bool) {
 	out := u.tlbFIFO[:0]
 	for _, k := range u.tlbFIFO {
 		if drop(k) {
-			delete(u.tlb, k)
+			u.tlbDelete(k)
 		} else {
 			out = append(out, k)
 		}
@@ -239,24 +316,24 @@ func (u *Unit) Invalidate(bdf pci.BDF, iova mem.Addr) {
 // any per-queue sub-domain that maps it — in a single walk each, and drops
 // every cached IOTLB translation for it, returning the physical page the
 // mapping named: the device domain's, or, when only sub-domains map the
-// page, the lowest stream's, so the answer never depends on map order. The
+// page, the lowest stream's, so the answer never depends on attach order. The
 // walk cost (sim.CostPageFlipRevoke) and the batch-amortised shootdown
 // (sim.CostIOTLBShootdown) are charged by the caller, which knows how many
 // pages share one shootdown.
 func (u *Unit) RevokePage(bdf pci.BDF, iova mem.Addr) (mem.Addr, bool) {
-	dom, ok := u.domains[bdf]
-	if !ok {
+	dom := u.Domain(bdf)
+	if dom == nil {
 		return 0, false
 	}
 	page := mem.PageAlign(iova)
 	phys, ok := dom.RevokePage(page)
 	qstream := -1
-	for k, qd := range u.qdoms {
-		if k.bdf != bdf {
+	for _, q := range u.qdoms {
+		if q.key.bdf != bdf {
 			continue
 		}
-		if p, qok := qd.RevokePage(page); qok && !ok && (qstream < 0 || k.stream < qstream) {
-			phys, qstream = p, k.stream
+		if p, qok := q.dom.RevokePage(page); qok && !ok && (qstream < 0 || q.key.stream < qstream) {
+			phys, qstream = p, q.key.stream
 		}
 	}
 	ok = ok || qstream >= 0

@@ -154,122 +154,264 @@ func (d *twinDomains) unmap(i int, iova mem.Addr) {
 	d.ref[i].Unmap(iova)
 }
 
+// checkIOTLBIndex verifies the open-addressed index against the FIFO: it
+// holds exactly the FIFO's keys, each reachable from its home slot along
+// an unbroken run of used slots, as linear probing requires.
+func checkIOTLBIndex(u *Unit) string {
+	used := 0
+	for i, sl := range u.tlb {
+		if !sl.used {
+			continue
+		}
+		used++
+		for j := tlbHome(sl.key); j != i; j = (j + 1) & tlbMask {
+			if !u.tlb[j].used {
+				return fmt.Sprintf("slot %d unreachable from its home: slot %d is empty", i, j)
+			}
+		}
+	}
+	if used != len(u.tlbFIFO) {
+		return fmt.Sprintf("%d slots used, %d keys in the FIFO", used, len(u.tlbFIFO))
+	}
+	for _, k := range u.tlbFIFO {
+		if u.tlbFind(k) < 0 {
+			return fmt.Sprintf("FIFO key %+v missing from the index", k)
+		}
+	}
+	return ""
+}
+
+// wrapPages returns, for each device and stream 0..2, pages whose IOTLB
+// home slot is one of the last few slots of the index, so their probe runs
+// wrap around the end of the table and deletes shift entries back across
+// it.
+func wrapPages(bdfs []pci.BDF) map[queueKey][]int {
+	out := map[queueKey][]int{}
+	for _, bdf := range bdfs {
+		for stream := 0; stream < 3; stream++ {
+			k := queueKey{bdf, stream}
+			for p := 0; len(out[k]) < 12; p++ {
+				a := mem.Addr(0x10000000 + p*mem.PageSize)
+				if tlbHome(tlbKey{page: a, stream: stream, bdf: uint64(bdf)}) >= tlbSlots-4 {
+					out[k] = append(out[k], p)
+				}
+			}
+		}
+	}
+	return out
+}
+
 // Property: random translate / invalidate / revoke / attach / sub-domain
 // traffic produces the same translations, latencies, hit, miss and walk
 // counts and fault log from the indexed IOTLB as from the linear model.
+// The "spread" address set draws from 96 consecutive pages, more than the
+// IOTLB holds, so eviction is exercised; the "wrap" set draws per device
+// and stream from pages homed at the end of the index, so inserts, FIFO
+// evictions, page invalidations and device and stream flushes all delete
+// inside probe runs that wrap around the table. After every op the index
+// must hold exactly the FIFO's keys, each on its probe path.
 func TestIOTLBMatchesLinearModel(t *testing.T) {
 	bdfs := []pci.BDF{devA, devB}
 	perms := []Perm{PermRead, PermWrite, PermRW}
-	for _, vendor := range []Vendor{VendorIntel, VendorAMD} {
-		for seed := uint64(1); seed <= 20; seed++ {
-			clock := &sim.Clock{}
-			u := New(Config{Vendor: vendor}, clock)
-			ref := &linearUnit{cfg: u.Cfg, clock: clock,
-				domains: map[pci.BDF]*Domain{}, qdoms: map[queueKey]*Domain{}}
-			doms := &twinDomains{}
-			for i := 0; i < 4; i++ {
-				doms.add(u, i == 3)
+	wrap := wrapPages(bdfs)
+	for _, mode := range []string{"spread", "wrap"} {
+		var pages []int
+		if mode == "spread" {
+			for p := 0; p < 96; p++ {
+				pages = append(pages, p)
 			}
-			rnd := sim.NewRand(seed)
-			// 96 pages: more than the IOTLB holds, so eviction is exercised.
-			iova := func() mem.Addr {
-				if rnd.Intn(50) == 0 {
-					return MSIBase + mem.Addr(rnd.Intn(16))
+		} else {
+			for _, k := range []queueKey{{devA, 0}, {devA, 1}, {devA, 2}, {devB, 0}, {devB, 1}, {devB, 2}} {
+				pages = append(pages, wrap[k]...)
+			}
+		}
+		for _, vendor := range []Vendor{VendorIntel, VendorAMD} {
+			for seed := uint64(1); seed <= 20; seed++ {
+				clock := &sim.Clock{}
+				u := New(Config{Vendor: vendor}, clock)
+				ref := &linearUnit{cfg: u.Cfg, clock: clock,
+					domains: map[pci.BDF]*Domain{}, qdoms: map[queueKey]*Domain{}}
+				doms := &twinDomains{}
+				for i := 0; i < 4; i++ {
+					doms.add(u, i == 3)
 				}
-				return mem.Addr(0x10000000 + rnd.Intn(96)*mem.PageSize + rnd.Intn(mem.PageSize))
-			}
-			// Every domain maps an IOVA to the same frame: RevokePage
-			// reports the frame of whichever sub-domain it visits first,
-			// in map order, so frames that differ by domain would make
-			// both models nondeterministic.
-			frame := func(a mem.Addr) mem.Addr { return a + 0x30000000 }
-			for i := range doms.real[:3] {
-				for p := 0; p < 96; p++ {
-					if rnd.Intn(4) != 0 {
-						a := mem.Addr(0x10000000 + p*mem.PageSize)
-						doms.mapPage(i, a, frame(a), perms[rnd.Intn(3)])
+				rnd := sim.NewRand(seed)
+				iova := func(bdf pci.BDF, stream int) mem.Addr {
+					if rnd.Intn(50) == 0 {
+						return MSIBase + mem.Addr(rnd.Intn(16))
+					}
+					p := pages[rnd.Intn(len(pages))]
+					if mode == "wrap" {
+						ps := wrap[queueKey{bdf, stream}]
+						p = ps[rnd.Intn(len(ps))]
+					}
+					return mem.Addr(0x10000000 + p*mem.PageSize + rnd.Intn(mem.PageSize))
+				}
+				// Every domain maps an IOVA to the same frame: RevokePage
+				// reports the frame of whichever sub-domain it visits
+				// first, in map order, so frames that differ by domain
+				// would make the model nondeterministic.
+				frame := func(a mem.Addr) mem.Addr { return a + 0x30000000 }
+				for i := range doms.real[:3] {
+					for _, p := range pages {
+						if rnd.Intn(4) != 0 {
+							a := mem.Addr(0x10000000 + p*mem.PageSize)
+							doms.mapPage(i, a, frame(a), perms[rnd.Intn(3)])
+						}
 					}
 				}
-			}
-			for op := 0; op < 3000; op++ {
-				clock.Advance(1)
-				bdf := bdfs[rnd.Intn(len(bdfs))]
-				stream := rnd.Intn(3)
-				what := ""
-				switch r := rnd.Intn(100); {
-				case r < 70:
-					a, write := iova(), rnd.Intn(2) == 0
-					gp, gl, ge := u.TranslateQ(bdf, stream, a, write)
-					wp, wl, we := ref.translate(bdf, stream, a, write)
-					if gp != wp || gl != wl || fmt.Sprint(ge) != fmt.Sprint(we) {
-						t.Fatalf("%v seed %d op %d: TranslateQ(%s, %d, %#x, %v) = %#x %v %v, model %#x %v %v",
-							vendor, seed, op, bdf, stream, uint64(a), write, uint64(gp), gl, ge, uint64(wp), wl, we)
+				for op := 0; op < 3000; op++ {
+					clock.Advance(1)
+					bdf := bdfs[rnd.Intn(len(bdfs))]
+					stream := rnd.Intn(3)
+					what := ""
+					switch r := rnd.Intn(100); {
+					case r < 70:
+						a, write := iova(bdf, stream), rnd.Intn(2) == 0
+						gp, gl, ge := u.TranslateQ(bdf, stream, a, write)
+						wp, wl, we := ref.translate(bdf, stream, a, write)
+						if gp != wp || gl != wl || fmt.Sprint(ge) != fmt.Sprint(we) {
+							t.Fatalf("%s %v seed %d op %d: TranslateQ(%s, %d, %#x, %v) = %#x %v %v, model %#x %v %v",
+								mode, vendor, seed, op, bdf, stream, uint64(a), write, uint64(gp), gl, ge, uint64(wp), wl, we)
+						}
+						what = "translate"
+					case r < 76:
+						a := iova(bdf, stream)
+						u.Invalidate(bdf, a)
+						ref.invalidate(bdf, a)
+						what = "invalidate"
+					case r < 80:
+						u.InvalidateStream(bdf, stream)
+						ref.drop(func(e linearEntry) bool { return e.bdf == bdf && e.stream == stream })
+						what = "invalidate stream"
+					case r < 82:
+						u.InvalidateDevice(bdf)
+						ref.drop(func(e linearEntry) bool { return e.bdf == bdf })
+						what = "invalidate device"
+					case r < 86:
+						a := iova(bdf, stream)
+						gp, gok := u.RevokePage(bdf, a)
+						wp, wok := ref.revokePage(bdf, a)
+						if gp != wp || gok != wok {
+							t.Fatalf("%s %v seed %d op %d: RevokePage = %#x %v, model %#x %v", mode, vendor, seed, op, uint64(gp), gok, uint64(wp), wok)
+						}
+						what = "revoke"
+					case r < 89:
+						i := rnd.Intn(len(doms.real) + 1)
+						if i == len(doms.real) {
+							u.Attach(bdf, nil)
+							ref.attach(bdf, nil)
+						} else {
+							u.Attach(bdf, doms.real[i])
+							ref.attach(bdf, doms.ref[i])
+						}
+						what = "attach"
+					case r < 93:
+						i := rnd.Intn(len(doms.real) + 1)
+						if i == len(doms.real) {
+							u.AttachQueue(bdf, stream, nil)
+							ref.attachQueue(bdf, stream, nil)
+						} else {
+							u.AttachQueue(bdf, stream, doms.real[i])
+							ref.attachQueue(bdf, stream, doms.ref[i])
+						}
+						what = "attach queue"
+					case r < 97:
+						// Unmap without an invalidation: the IOTLB keeps
+						// serving the stale translation, in both models.
+						doms.unmap(rnd.Intn(3), iova(bdf, stream))
+						what = "unmap"
+					default:
+						a := mem.PageAlign(iova(bdf, stream))
+						doms.mapPage(rnd.Intn(3), a, frame(a), perms[rnd.Intn(3)])
+						what = "map"
 					}
-					what = "translate"
-				case r < 76:
-					a := iova()
-					u.Invalidate(bdf, a)
-					ref.invalidate(bdf, a)
-					what = "invalidate"
-				case r < 80:
-					u.InvalidateStream(bdf, stream)
-					ref.drop(func(e linearEntry) bool { return e.bdf == bdf && e.stream == stream })
-					what = "invalidate stream"
-				case r < 82:
-					u.InvalidateDevice(bdf)
-					ref.drop(func(e linearEntry) bool { return e.bdf == bdf })
-					what = "invalidate device"
-				case r < 86:
-					a := iova()
-					gp, gok := u.RevokePage(bdf, a)
-					wp, wok := ref.revokePage(bdf, a)
-					if gp != wp || gok != wok {
-						t.Fatalf("%v seed %d op %d: RevokePage = %#x %v, model %#x %v", vendor, seed, op, uint64(gp), gok, uint64(wp), wok)
+					gh, gm := u.TLBStats()
+					if gh != ref.hits || gm != ref.misses || u.Walks() != ref.walks {
+						t.Fatalf("%s %v seed %d op %d (%s): hits/misses/walks %d/%d/%d, model %d/%d/%d",
+							mode, vendor, seed, op, what, gh, gm, u.Walks(), ref.hits, ref.misses, ref.walks)
 					}
-					what = "revoke"
-				case r < 89:
-					i := rnd.Intn(len(doms.real) + 1)
-					if i == len(doms.real) {
-						u.Attach(bdf, nil)
-						ref.attach(bdf, nil)
-					} else {
-						u.Attach(bdf, doms.real[i])
-						ref.attach(bdf, doms.ref[i])
+					if len(u.tlbFIFO) != len(ref.tlb) {
+						t.Fatalf("%s %v seed %d op %d (%s): %d cached, model %d",
+							mode, vendor, seed, op, what, len(u.tlbFIFO), len(ref.tlb))
 					}
-					what = "attach"
-				case r < 93:
-					i := rnd.Intn(len(doms.real) + 1)
-					if i == len(doms.real) {
-						u.AttachQueue(bdf, stream, nil)
-						ref.attachQueue(bdf, stream, nil)
-					} else {
-						u.AttachQueue(bdf, stream, doms.real[i])
-						ref.attachQueue(bdf, stream, doms.ref[i])
+					for i, k := range u.tlbFIFO {
+						if e := ref.tlb[i]; k != (tlbKey{page: e.iova, stream: e.stream, bdf: uint64(e.bdf)}) {
+							t.Fatalf("%s %v seed %d op %d (%s): FIFO entry %d is %+v, model %+v", mode, vendor, seed, op, what, i, k, e)
+						}
 					}
-					what = "attach queue"
-				case r < 97:
-					// Unmap without an invalidation: the IOTLB keeps
-					// serving the stale translation, in both models.
-					doms.unmap(rnd.Intn(3), iova())
-					what = "unmap"
-				default:
-					a := mem.PageAlign(iova())
-					doms.mapPage(rnd.Intn(3), a, frame(a), perms[rnd.Intn(3)])
-					what = "map"
+					if msg := checkIOTLBIndex(u); msg != "" {
+						t.Fatalf("%s %v seed %d op %d (%s): %s", mode, vendor, seed, op, what, msg)
+					}
 				}
-				gh, gm := u.TLBStats()
-				if gh != ref.hits || gm != ref.misses || u.Walks() != ref.walks {
-					t.Fatalf("%v seed %d op %d (%s): hits/misses/walks %d/%d/%d, model %d/%d/%d",
-						vendor, seed, op, what, gh, gm, u.Walks(), ref.hits, ref.misses, ref.walks)
-				}
-				if len(u.tlbFIFO) != len(ref.tlb) || len(u.tlb) != len(ref.tlb) {
-					t.Fatalf("%v seed %d op %d (%s): %d/%d cached, model %d",
-						vendor, seed, op, what, len(u.tlbFIFO), len(u.tlb), len(ref.tlb))
+				if !reflect.DeepEqual(u.Faults(), ref.faults) {
+					t.Fatalf("%s %v seed %d: fault logs differ (%d vs %d entries)", mode, vendor, seed, len(u.Faults()), len(ref.faults))
 				}
 			}
-			if !reflect.DeepEqual(u.Faults(), ref.faults) {
-				t.Fatalf("%v seed %d: fault logs differ (%d vs %d entries)", vendor, seed, len(u.Faults()), len(ref.faults))
-			}
+		}
+	}
+}
+
+// TestTranslateQDoesNotAllocate covers both IOTLB paths of a tagged
+// translation: a hit, and a miss that walks, inserts and evicts.
+func TestTranslateQDoesNotAllocate(t *testing.T) {
+	u := newUnit(Config{Vendor: VendorIntel})
+	u.Attach(devA, u.NewDomain())
+	sub := u.NewDomain()
+	u.AttachQueue(devA, 1, sub)
+	for p := 0; p < 4*iotlbSize; p++ {
+		if err := sub.Map(mem.Addr(p*mem.PageSize), mem.Addr(0x100000+p*mem.PageSize), PermRW); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hit := func() {
+		if _, _, err := u.TranslateQ(devA, 1, 0x10, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	page := 0
+	miss := func() {
+		page = (page + 1) % (4 * iotlbSize)
+		if _, _, err := u.TranslateQ(devA, 1, mem.Addr(page*mem.PageSize), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4*iotlbSize; i++ {
+		miss() // bring the FIFO window to its working size
+	}
+	hit()
+	if allocs := testing.AllocsPerRun(1000, hit); allocs != 0 {
+		t.Fatalf("an IOTLB hit allocates %.1f times, want 0", allocs)
+	}
+	h0, m0 := u.TLBStats()
+	if allocs := testing.AllocsPerRun(1000, miss); allocs != 0 {
+		t.Fatalf("an IOTLB miss allocates %.1f times, want 0", allocs)
+	}
+	if _, m1 := u.TLBStats(); m1-m0 != 1001 {
+		t.Fatalf("miss path hit the IOTLB: %d misses over 1001 calls (hits before %d)", m1-m0, h0)
+	}
+}
+
+// BenchmarkTranslateQ translates a DMA stream over a working set of pages
+// that fits the IOTLB, with one in sixteen accesses missing to a page
+// outside it: mostly the hit path, with the walk and eviction mixed in.
+func BenchmarkTranslateQ(b *testing.B) {
+	u := newUnit(Config{Vendor: VendorIntel})
+	d := u.NewDomain()
+	u.Attach(devA, d)
+	for p := 0; p < 1024; p++ {
+		if err := d.Map(mem.Addr(p*mem.PageSize), mem.Addr(0x100000+p*mem.PageSize), PermRW); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p := i % 48
+		if i%16 == 15 {
+			p = 48 + i%976
+		}
+		if _, _, err := u.TranslateQ(devA, 0, mem.Addr(p*mem.PageSize+i%mem.PageSize), i&1 == 0); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

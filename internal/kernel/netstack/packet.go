@@ -266,22 +266,33 @@ func ParseTCP(src, dstIP IP, seg []byte, verify bool) (TCPHeader, []byte, error)
 
 // BuildUDPFrame assembles a complete Ethernet frame carrying a UDP datagram.
 func BuildUDPFrame(srcMAC, dstMAC MAC, srcIP, dstIP IP, sport, dport uint16, payload []byte) []byte {
-	frame := make([]byte, 0, EthHeaderLen+IPv4HeaderLen+UDPHeaderLen+len(payload))
-	eh := EthHeader{Dst: dstMAC, Src: srcMAC, EtherType: EtherTypeIPv4}
-	frame = eh.Marshal(frame)
-	udp := MarshalUDP(nil, srcIP, dstIP, UDPHeader{SrcPort: sport, DstPort: dport}, payload)
-	ih := IPv4Header{Proto: ProtoUDP, TTL: 64, Src: srcIP, Dst: dstIP}
-	frame = ih.Marshal(frame, len(udp))
-	return append(frame, udp...)
+	frame := startIPv4Frame(srcMAC, dstMAC, UDPHeaderLen+len(payload))
+	frame = MarshalUDP(frame, srcIP, dstIP, UDPHeader{SrcPort: sport, DstPort: dport}, payload)
+	return finishIPv4Frame(frame, ProtoUDP, srcIP, dstIP)
 }
 
 // BuildTCPFrame assembles a complete Ethernet frame carrying a TCP segment.
 func BuildTCPFrame(srcMAC, dstMAC MAC, srcIP, dstIP IP, h TCPHeader, payload []byte) []byte {
-	frame := make([]byte, 0, EthHeaderLen+IPv4HeaderLen+TCPHeaderLen+len(payload))
+	frame := startIPv4Frame(srcMAC, dstMAC, TCPHeaderLen+len(payload))
+	frame = MarshalTCP(frame, srcIP, dstIP, h, payload)
+	return finishIPv4Frame(frame, ProtoTCP, srcIP, dstIP)
+}
+
+// startIPv4Frame allocates a frame for an l4len-byte transport segment,
+// writes the MAC header and reserves room for the IP header. The segment
+// is then marshalled straight into the frame, so building one costs a
+// single allocation.
+func startIPv4Frame(srcMAC, dstMAC MAC, l4len int) []byte {
+	frame := make([]byte, 0, EthHeaderLen+IPv4HeaderLen+l4len)
 	eh := EthHeader{Dst: dstMAC, Src: srcMAC, EtherType: EtherTypeIPv4}
 	frame = eh.Marshal(frame)
-	tcp := MarshalTCP(nil, srcIP, dstIP, h, payload)
-	ih := IPv4Header{Proto: ProtoTCP, TTL: 64, Src: srcIP, Dst: dstIP}
-	frame = ih.Marshal(frame, len(tcp))
-	return append(frame, tcp...)
+	return frame[:EthHeaderLen+IPv4HeaderLen]
+}
+
+// finishIPv4Frame fills in the reserved IP header, now that the transport
+// segment behind it is in place.
+func finishIPv4Frame(frame []byte, proto uint8, srcIP, dstIP IP) []byte {
+	ih := IPv4Header{Proto: proto, TTL: 64, Src: srcIP, Dst: dstIP}
+	ih.Marshal(frame[EthHeaderLen:EthHeaderLen], len(frame)-EthHeaderLen-IPv4HeaderLen)
+	return frame
 }

@@ -40,13 +40,51 @@ func (e *AccessError) Error() string {
 	return fmt.Sprintf("mem: %s of unpopulated physical address %#x", op, uint64(e.Addr))
 }
 
+// Page-table geometry: a directory of leaves, each leaf covering one 2 MiB
+// region with a slot per 4 KiB page. Regions below dirDirect are indexed
+// through a slice, the rest through a map, so a lookup is an index plus a
+// pointer chase rather than a hash per access.
+const (
+	leafShift = 21
+	leafPages = 1 << (leafShift - PageShift)
+	dirDirect = 1 << 12 // regions below 8 GiB are slice-indexed
+)
+
+// leaf holds the pages of one 2 MiB region, plus a bit per page freed
+// inside a declared RAM range (a hole, which faults instead of being
+// lazily repopulated).
+type leaf struct {
+	pages [leafPages]*[PageSize]byte
+	holes [leafPages / 64]uint64
+	n     int // populated pages
+}
+
+func (l *leaf) hole(i Addr) bool { return l.holes[i/64]&(1<<(i%64)) != 0 }
+
+func (l *leaf) setHole(i Addr, on bool) {
+	if on {
+		l.holes[i/64] |= 1 << (i % 64)
+	} else {
+		l.holes[i/64] &^= 1 << (i % 64)
+	}
+}
+
+// empty reports whether the leaf records nothing: no page and no hole.
+func (l *leaf) empty() bool { return l.n == 0 && l.holes == [leafPages / 64]uint64{} }
+
 // Memory is sparse physical memory. The zero value is empty; populate pages
 // with AllocPage/AllocRange, or declare DRAM with AddRAMRange for lazy
 // population on first touch.
 type Memory struct {
-	pages map[Addr]*[PageSize]byte
-	rams  []ramRange
-	holes map[Addr]bool // explicitly freed pages inside RAM ranges
+	dir    []*leaf        // leaves of regions below dirDirect
+	far    map[Addr]*leaf // leaves of regions at or above dirDirect
+	npages int
+	rams   []ramRange
+
+	// last caches the most recently used leaf and its region index;
+	// removing a leaf from the directory must clear it.
+	last    *leaf
+	lastIdx Addr
 
 	// Stats.
 	reads, writes     uint64
@@ -59,12 +97,7 @@ type ramRange struct {
 }
 
 // New returns empty physical memory.
-func New() *Memory {
-	return &Memory{
-		pages: make(map[Addr]*[PageSize]byte),
-		holes: make(map[Addr]bool),
-	}
-}
+func New() *Memory { return &Memory{} }
 
 // AddRAMRange declares [base, base+size) as DRAM. Pages inside a RAM range
 // are populated lazily on first access, so declaring gigabytes is free.
@@ -82,27 +115,87 @@ func (m *Memory) inRAM(addr Addr) bool {
 	return false
 }
 
+// leafOf returns the leaf covering addr and addr's slot in it. When create
+// is set a missing leaf is made; otherwise the leaf may be nil.
+func (m *Memory) leafOf(addr Addr, create bool) (*leaf, Addr) {
+	idx, slot := addr>>leafShift, addr>>PageShift&(leafPages-1)
+	if m.last != nil && m.lastIdx == idx {
+		return m.last, slot
+	}
+	var l *leaf
+	if idx < dirDirect {
+		if idx < Addr(len(m.dir)) {
+			l = m.dir[idx]
+		}
+	} else {
+		l = m.far[idx]
+	}
+	if l == nil {
+		if !create {
+			return nil, slot
+		}
+		l = new(leaf)
+		m.setLeaf(idx, l)
+	}
+	m.last, m.lastIdx = l, idx
+	return l, slot
+}
+
+// setLeaf installs l (or removes the region's leaf, for nil) in the
+// directory.
+func (m *Memory) setLeaf(idx Addr, l *leaf) {
+	if idx >= dirDirect {
+		if m.far == nil {
+			m.far = make(map[Addr]*leaf)
+		}
+		if l == nil {
+			delete(m.far, idx)
+		} else {
+			m.far[idx] = l
+		}
+		return
+	}
+	for Addr(len(m.dir)) <= idx {
+		m.dir = append(m.dir, nil)
+	}
+	m.dir[idx] = l
+}
+
 // page returns the backing page for addr, lazily populating RAM pages.
 func (m *Memory) page(addr Addr) (*[PageSize]byte, bool) {
-	base := PageAlign(addr)
-	pg, ok := m.pages[base]
-	if !ok && !m.holes[base] && m.inRAM(base) {
-		pg = new([PageSize]byte)
-		m.pages[base] = pg
-		ok = true
+	l, i := m.leafOf(addr, false)
+	if l != nil {
+		if pg := l.pages[i]; pg != nil {
+			return pg, true
+		}
+		if l.hole(i) {
+			return nil, false
+		}
 	}
-	return pg, ok
+	if !m.inRAM(PageAlign(addr)) {
+		return nil, false
+	}
+	return m.populate(addr), true
+}
+
+// populate backs the page containing addr with fresh zeroed memory if it
+// has none, clears any hole there, and returns the page.
+func (m *Memory) populate(addr Addr) *[PageSize]byte {
+	l, i := m.leafOf(addr, true)
+	l.setHole(i, false)
+	if l.pages[i] == nil {
+		l.pages[i] = new([PageSize]byte)
+		l.n++
+		m.npages++
+	}
+	return l.pages[i]
 }
 
 // AllocPage populates the page containing addr (idempotent) and returns its
 // base address.
 func (m *Memory) AllocPage(addr Addr) Addr {
-	base := PageAlign(addr)
-	delete(m.holes, base)
-	if _, ok := m.pages[base]; !ok {
-		m.pages[base] = new([PageSize]byte)
-	}
-	return base
+	m.populate(addr)
+	return PageAlign(addr)
 }
 
 // AllocRange populates every page overlapping [addr, addr+size).
@@ -119,23 +212,41 @@ func (m *Memory) AllocRange(addr Addr, size uint64) {
 // page is inside a declared RAM range.
 func (m *Memory) FreePage(addr Addr) {
 	base := PageAlign(addr)
-	delete(m.pages, base)
-	if m.inRAM(base) {
-		m.holes[base] = true
+	hole := m.inRAM(base)
+	l, i := m.leafOf(base, hole)
+	if l == nil {
+		return
+	}
+	if l.pages[i] != nil {
+		l.pages[i] = nil
+		l.n--
+		m.npages--
+	}
+	if hole {
+		l.setHole(i, true)
+	}
+	if l.empty() {
+		m.setLeaf(base>>leafShift, nil)
+		m.last = nil
 	}
 }
 
 // Populated reports whether the page containing addr is accessible.
 func (m *Memory) Populated(addr Addr) bool {
 	base := PageAlign(addr)
-	if _, ok := m.pages[base]; ok {
-		return true
+	if l, i := m.leafOf(base, false); l != nil {
+		if l.pages[i] != nil {
+			return true
+		}
+		if l.hole(i) {
+			return false
+		}
 	}
-	return !m.holes[base] && m.inRAM(base)
+	return m.inRAM(base)
 }
 
 // PageCount returns the number of populated pages.
-func (m *Memory) PageCount() int { return len(m.pages) }
+func (m *Memory) PageCount() int { return m.npages }
 
 // Read copies len(p) bytes starting at addr into p. It fails with
 // *AccessError if any touched page is unpopulated; in that case p may be

@@ -1,0 +1,53 @@
+package netperf
+
+import (
+	"runtime"
+	"testing"
+
+	"sud/internal/hw"
+	"sud/internal/kernel/netstack"
+	"sud/internal/sim"
+)
+
+// rxAllocsPerFrameMax gates the host allocations the receive path makes per
+// delivered frame, end to end: the remote's frame build and wire copy, the
+// device, the untrusted driver, uchan, the proxy guard and the stack.
+// Allocation counts are deterministic for a deterministic run, so the gate
+// is the measured figure, 2.314, rounded up to two decimals, not a band.
+// Two of those are the remote's per-frame buffers (the built frame and the
+// link's copy of it); the rest is per-batch message framing and interrupt
+// delivery, amortised over the frames each batch carries.
+const rxAllocsPerFrameMax = 2.32
+
+// TestRXAllocsPerFrame runs the multi-queue SUD e1000e receive testbed (4
+// RSS rings, 6 flows at 80 % of the gigabit 64-byte wire rate, copy guard)
+// and counts heap allocations over a fixed virtual span after warmup,
+// divided by the datagrams the socket received in it.
+func TestRXAllocsPerFrame(t *testing.T) {
+	tb, err := NewMultiFlowTestbed(4, hw.DefaultPlatform())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sock, err := tb.K.Net.UDPBind(PortFlood, func([]byte, netstack.IP, uint16) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const flows, perFlow = 6, 962_000 * 8 / 10 / 6
+	tb.EthRemote.StartFloodFlows(64, perFlow, flows, rxFloodBaseSport, PortFlood)
+	tb.M.Loop.RunFor(5 * sim.Millisecond)
+
+	base := sock.RxDatagrams
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tb.M.Loop.RunFor(20 * sim.Millisecond)
+	runtime.ReadMemStats(&after)
+	frames := sock.RxDatagrams - base
+	if frames < 10_000 {
+		t.Fatalf("only %d frames delivered in 20 ms", frames)
+	}
+	perFrame := float64(after.Mallocs-before.Mallocs) / float64(frames)
+	t.Logf("%d frames, %.3f allocations per frame", frames, perFrame)
+	if perFrame > rxAllocsPerFrameMax {
+		t.Fatalf("receive path allocates %.3f times per delivered frame, gate %.1f", perFrame, rxAllocsPerFrameMax)
+	}
+}

@@ -244,7 +244,7 @@ func (d *proxyDev) StartXmitQ(frame []byte, q int) error {
 		return fmt.Errorf("ethproxy: xmit upcall: %w", err)
 	}
 	p.Commit(q)
-	p.K.Net.Trace.Mark(trace.ClassNetTx, q, uint64(slot))
+	p.K.Net.Trace.Mark(trace.MarkNetTx, q, uint64(slot))
 	p.K.Net.Trace.Event(trace.ClassNetTx, q, uint64(slot), trace.HopUchanEnq)
 	return nil
 }
@@ -319,7 +319,7 @@ func (p *Proxy) HandleDowncall(q int, m uchan.Msg) {
 		if !ok {
 			return
 		}
-		if d, ok := p.K.Net.Trace.TakeLat(trace.ClassNetTx, sq, uint64(slot)); ok {
+		if d, ok := p.K.Net.Trace.TakeLat(trace.MarkNetTx, sq, uint64(slot)); ok {
 			p.Ifc.Queue(sq).TxLat.Record(d)
 		}
 		p.K.Net.Trace.Event(trace.ClassNetTx, sq, uint64(slot), trace.HopComplete)
@@ -415,7 +415,7 @@ func (p *Proxy) netifRx(q int, iova mem.Addr, n int) {
 // delivery hop. Bounced frames carry no reference and are not recorded.
 func (p *Proxy) rxDelivered(q int, iova uint64) {
 	tr := p.K.Net.Trace
-	if d, ok := tr.TakeLat(trace.ClassNetRx, q, iova); ok {
+	if d, ok := tr.TakeLat(trace.MarkNetRx, q, iova); ok {
 		p.Ifc.Queue(q).RxLat.Record(d)
 	}
 	tr.Event(trace.ClassNetRx, q, iova, trace.HopDeliver)

@@ -1404,7 +1404,7 @@ func (b *umlDMA) Slice(off, n int) ([]byte, bool) {
 	// Remember the view's identity so netif_rx can recover the bus
 	// address for the zero-copy downcall.
 	if len(b.p.sliceAddrs) > 8192 {
-		b.p.sliceAddrs = make(map[*byte]mem.Addr)
+		clear(b.p.sliceAddrs) // keeps the table, so refilling it never regrows
 	}
 	b.p.sliceAddrs[&view[0]] = b.a.IOVA + mem.Addr(off)
 	return view, true

@@ -71,10 +71,28 @@ type Event struct {
 	Run   int
 }
 
-type markKey struct {
-	class string
-	queue int
-	tag   uint64
+// MarkClass names a stamp-table population by a small integer, so placing
+// or taking a per-packet stamp indexes by class and looks up one uint64
+// key instead of hashing a class string.
+type MarkClass uint8
+
+// Stamp-table populations, one per span class that carries a birth stamp.
+const (
+	MarkNetRx MarkClass = iota // ClassNetRx: tag = buffer IOVA
+	MarkNetTx                  // ClassNetTx: tag = shared TX slot
+	numMarkClasses
+)
+
+// packMark packs (q, tag) into one stamp-table key: the queue in the top
+// byte, the tag below it. It reports false for a pair that does not fit.
+// The stamped tags — TX slot indices and RX buffer IOVAs, which the kernel
+// allocates from pciaccess.IOVABase upward — and the queue indices always
+// fit, so such a pair never carries a stamp.
+func packMark(q int, tag uint64) (uint64, bool) {
+	if uint(q) >= 1<<8 || tag >= 1<<56 {
+		return 0, false
+	}
+	return uint64(q)<<56 | tag, true
 }
 
 // Tracer is one machine's span plane plus the cross-layer stamp table. All
@@ -87,13 +105,17 @@ type Tracer struct {
 	events  []Event
 	dropped uint64
 
-	marks map[markKey]sim.Time
+	marks [numMarkClasses]map[uint64]sim.Time
 }
 
 // New creates a tracer charging span-event costs to a dedicated "trace"
 // account on cpu. The span plane starts disabled.
 func New(loop *sim.Loop, cpu *sim.CPUStats) *Tracer {
-	return &Tracer{loop: loop, acct: cpu.Account("trace"), marks: make(map[markKey]sim.Time)}
+	t := &Tracer{loop: loop, acct: cpu.Account("trace")}
+	for c := range t.marks {
+		t.marks[c] = make(map[uint64]sim.Time)
+	}
+	return t
 }
 
 // Enable turns the span plane on: Event calls record and charge from now on.
@@ -156,23 +178,29 @@ func (t *Tracer) ResetEvents() {
 // Mark stamps (class, q, tag) with the current virtual time. It is part of
 // the always-on metrics plane: zero charges, no events — the device-side
 // birth stamp a downstream layer turns into an end-to-end latency sample.
-// Re-marking an existing key overwrites it (buffer reuse).
-func (t *Tracer) Mark(class string, q int, tag uint64) {
+// Re-marking an existing key overwrites it (buffer reuse). A (q, tag)
+// pair packMark cannot pack is not stamped.
+func (t *Tracer) Mark(class MarkClass, q int, tag uint64) {
 	if t == nil {
 		return
 	}
-	t.marks[markKey{class, q, tag}] = t.loop.Now()
+	if k, ok := packMark(q, tag); ok {
+		t.marks[class][k] = t.loop.Now()
+	}
 }
 
 // TakeMark removes and returns the stamp for (class, q, tag).
-func (t *Tracer) TakeMark(class string, q int, tag uint64) (sim.Time, bool) {
+func (t *Tracer) TakeMark(class MarkClass, q int, tag uint64) (sim.Time, bool) {
 	if t == nil {
 		return 0, false
 	}
-	k := markKey{class, q, tag}
-	at, ok := t.marks[k]
+	k, ok := packMark(q, tag)
+	if !ok {
+		return 0, false
+	}
+	at, ok := t.marks[class][k]
 	if ok {
-		delete(t.marks, k)
+		delete(t.marks[class], k)
 	}
 	return at, ok
 }
@@ -180,7 +208,7 @@ func (t *Tracer) TakeMark(class string, q int, tag uint64) (sim.Time, bool) {
 // TakeLat pops the stamp and returns the virtual time elapsed since it was
 // placed. Call sites record the result straight into a histogram without
 // needing their own handle on the clock.
-func (t *Tracer) TakeLat(class string, q int, tag uint64) (sim.Duration, bool) {
+func (t *Tracer) TakeLat(class MarkClass, q int, tag uint64) (sim.Duration, bool) {
 	at, ok := t.TakeMark(class, q, tag)
 	if !ok {
 		return 0, false

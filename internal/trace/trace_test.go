@@ -26,8 +26,8 @@ func TestTracerDisabledIsFree(t *testing.T) {
 	}
 	var nilT *Tracer
 	nilT.Event(ClassBlk, 0, 1, HopSubmit) // must not panic
-	nilT.Mark(ClassNetRx, 0, 2)
-	if _, ok := nilT.TakeMark(ClassNetRx, 0, 2); ok {
+	nilT.Mark(MarkNetRx, 0, 2)
+	if _, ok := nilT.TakeMark(MarkNetRx, 0, 2); ok {
 		t.Fatalf("nil tracer returned a mark")
 	}
 	if nilT.Enabled() || nilT.Dropped() != 0 || nilT.Events() != nil {
@@ -64,22 +64,58 @@ func TestTracerEnabledRecordsAndCharges(t *testing.T) {
 
 func TestTracerMarks(t *testing.T) {
 	tr, loop, _ := testTracer()
-	tr.Mark(ClassNetRx, 2, 0x3000) // always on, even with spans disabled
+	tr.Mark(MarkNetRx, 2, 0x3000) // always on, even with spans disabled
 	loop.RunFor(5 * sim.Microsecond)
-	at, ok := tr.TakeMark(ClassNetRx, 2, 0x3000)
+	at, ok := tr.TakeMark(MarkNetRx, 2, 0x3000)
 	if !ok || loop.Now()-at != sim.Time(5*sim.Microsecond) {
 		t.Fatalf("mark delta wrong: ok=%v delta=%d", ok, loop.Now()-at)
 	}
-	if _, ok := tr.TakeMark(ClassNetRx, 2, 0x3000); ok {
+	if _, ok := tr.TakeMark(MarkNetRx, 2, 0x3000); ok {
 		t.Fatalf("TakeMark did not consume the mark")
 	}
 	// Re-marking the same key (buffer reuse) overwrites.
-	tr.Mark(ClassNetRx, 2, 0x3000)
+	tr.Mark(MarkNetRx, 2, 0x3000)
 	loop.RunFor(sim.Microsecond)
-	tr.Mark(ClassNetRx, 2, 0x3000)
-	at, _ = tr.TakeMark(ClassNetRx, 2, 0x3000)
+	tr.Mark(MarkNetRx, 2, 0x3000)
+	at, _ = tr.TakeMark(MarkNetRx, 2, 0x3000)
 	if at != loop.Now() {
 		t.Fatalf("re-mark did not overwrite")
+	}
+}
+
+// TestTracerMarksKeepEveryKey: stamps are per (class, queue, tag), up to
+// the widest queue and tag that pack into one key, and taking one never
+// disturbs another. A pair too wide to pack is not stamped.
+func TestTracerMarksKeepEveryKey(t *testing.T) {
+	tr, loop, _ := testTracer()
+	type key struct {
+		c   MarkClass
+		q   int
+		tag uint64
+	}
+	keys := []key{
+		{MarkNetRx, 0, 0x3000}, {MarkNetRx, 1, 0x3000}, {MarkNetTx, 0, 0x3000},
+		{MarkNetRx, 255, 1<<56 - 1}, {MarkNetTx, 255, 0}, {MarkNetRx, 0, 1<<56 - 1},
+	}
+	for i, k := range keys {
+		loop.RunFor(sim.Duration(i + 1))
+		tr.Mark(k.c, k.q, k.tag)
+	}
+	for _, k := range []key{{MarkNetRx, 256, 0x3000}, {MarkNetRx, -1, 0x3000}, {MarkNetRx, 0, 1 << 56}} {
+		tr.Mark(k.c, k.q, k.tag)
+		if _, ok := tr.TakeMark(k.c, k.q, k.tag); ok {
+			t.Fatalf("key %+v does not pack but was stamped", k)
+		}
+	}
+	for i := len(keys) - 1; i >= 0; i-- {
+		k := keys[i]
+		at, ok := tr.TakeMark(k.c, k.q, k.tag)
+		if want := sim.Time((i + 1) * (i + 2) / 2); !ok || at != want {
+			t.Fatalf("key %+v: TakeMark = %d, %v; want %d", k, at, ok, want)
+		}
+		if _, ok := tr.TakeMark(k.c, k.q, k.tag); ok {
+			t.Fatalf("key %+v: stamp taken twice", k)
+		}
 	}
 }
 
