@@ -45,7 +45,8 @@ type wirePeer struct {
 	captured [][]byte
 }
 
-func (p *wirePeer) LinkDeliver(f []byte) { p.captured = append(p.captured, f) }
+// LinkDeliver keeps a copy: the link lends the frame for the call only.
+func (p *wirePeer) LinkDeliver(f []byte) { p.captured = append(p.captured, append([]byte(nil), f...)) }
 
 // flood schedules n raw frames at the DUT, spaced by interval.
 func (p *wirePeer) flood(n int, frame []byte, interval sim.Duration) {

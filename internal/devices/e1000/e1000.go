@@ -193,6 +193,7 @@ type NIC struct {
 
 	// RX engine state, one engine (and packet FIFO) per hardware queue.
 	rxQueue     [MaxRxQueues]sim.FIFO[[]byte] // frames awaiting ring placement
+	rxBufs      sim.BufPool                   // the FIFO's frame copies
 	rxActive    [MaxRxQueues]bool
 	rxBusyUntil [MaxRxQueues]sim.Time
 	rxStepFn    [MaxRxQueues]func()
@@ -201,6 +202,7 @@ type NIC struct {
 	// Interrupt moderation.
 	lastIntAt  sim.Time
 	intPending bool
+	intDeferFn func() // the throttled interrupt's event callback, built once
 
 	// Counters.
 	TxPackets, RxPackets   uint64
@@ -229,6 +231,10 @@ func New(loop *sim.Loop, bdf pci.BDF, barBase uint64, macAddr [6]byte, p Params)
 	}
 	for q := range n.rxStepFn {
 		n.rxStepFn[q] = func() { n.rxStep(q) }
+	}
+	n.intDeferFn = func() {
+		n.intPending = false
+		n.maybeInterrupt()
 	}
 	cfg := pci.NewConfigSpace(0x8086, 0x10D3, 0x02) // 82574L, class = network
 	cfg.SetBAR(0, barBase, BARSize, false)
@@ -483,10 +489,7 @@ func (n *NIC) maybeInterrupt() {
 	if gap > 0 && now-n.lastIntAt < gap {
 		if !n.intPending {
 			n.intPending = true
-			n.loop.At(n.lastIntAt+gap, func() {
-				n.intPending = false
-				n.maybeInterrupt()
-			})
+			n.loop.At(n.lastIntAt+gap, n.intDeferFn)
 		}
 		return
 	}
@@ -620,7 +623,9 @@ func (n *NIC) steerQueue(frame []byte) int {
 }
 
 // LinkDeliver implements ethlink.Endpoint: a frame arrived from the wire and
-// is steered to an RX ring by the RSS hash.
+// is steered to an RX ring by the RSS hash. The wire lends the frame for the
+// call, so the packet FIFO keeps its own copy until the frame is placed in
+// the ring or dropped.
 func (n *NIC) LinkDeliver(frame []byte) {
 	if n.regs.Get(RegRCTL)&RctlEN == 0 || !n.linkUp() {
 		return
@@ -632,7 +637,9 @@ func (n *NIC) LinkDeliver(frame []byte) {
 		n.assertCause(IntRXO)
 		return
 	}
-	n.rxQueue[q].Push(frame)
+	buf := n.rxBufs.Get(len(frame))
+	copy(buf, frame)
+	n.rxQueue[q].Push(buf)
 	n.kickRx(q)
 }
 
@@ -663,12 +670,13 @@ func (n *NIC) rxStep(q int) {
 	if head == n.regs.Get(RxQOff(q, RegRDT)) {
 		// No free descriptors: drop.
 		n.RxDropsNoDesc++
-		n.rxQueue[q].Pop()
+		n.rxBufs.Put(n.rxQueue[q].Pop())
 		n.assertCause(IntRXO)
 		n.kickRx(q)
 		return
 	}
 	frame := n.rxQueue[q].Pop()
+	defer n.rxBufs.Put(frame)
 
 	engine := n.params.RxPerPacket
 	descAddr := n.rxBase(q) + mem.Addr(head*DescSize)

@@ -31,7 +31,8 @@ type rig struct {
 
 type captureEnd struct{ frames [][]byte }
 
-func (c *captureEnd) LinkDeliver(f []byte) { c.frames = append(c.frames, f) }
+// LinkDeliver keeps a copy: the link lends the frame for the call only.
+func (c *captureEnd) LinkDeliver(f []byte) { c.frames = append(c.frames, append([]byte(nil), f...)) }
 
 func newRig(t *testing.T) *rig {
 	t.Helper()
@@ -239,6 +240,27 @@ func TestReceiveOnePacket(t *testing.T) {
 	r.m.Mem.MustRead(mem.Addr(le64(desc[0:8])), buf)
 	if !bytes.Equal(buf, frame) {
 		t.Fatal("payload not DMAed into buffer")
+	}
+}
+
+// TestReceiveKeepsOwnCopy: the wire lends a frame only for LinkDeliver, so
+// a frame still in the RX FIFO when the lender reuses its buffer must reach
+// host memory as it was delivered.
+func TestReceiveKeepsOwnCopy(t *testing.T) {
+	r := newRig(t)
+	r.replenishRx(t, 8)
+	lent := bytes.Repeat([]byte{0x3C}, 80)
+	r.nic.LinkDeliver(lent)
+	for i := range lent {
+		lent[i] = 0xEE // the lender reuses its buffer
+	}
+	r.m.Loop.Run()
+	desc := make([]byte, DescSize)
+	r.m.Mem.MustRead(r.rxRing, desc)
+	buf := make([]byte, 80)
+	r.m.Mem.MustRead(mem.Addr(le64(desc[0:8])), buf)
+	if !bytes.Equal(buf, bytes.Repeat([]byte{0x3C}, 80)) {
+		t.Fatal("the RX FIFO kept the lender's buffer instead of a copy")
 	}
 }
 

@@ -11,7 +11,8 @@ import (
 
 type sink struct{ frames [][]byte }
 
-func (s *sink) LinkDeliver(f []byte) { s.frames = append(s.frames, f) }
+// LinkDeliver keeps a copy: the link lends the frame for the call only.
+func (s *sink) LinkDeliver(f []byte) { s.frames = append(s.frames, append([]byte(nil), f...)) }
 
 func rig(t *testing.T) (*sim.Loop, *Card, *ethlink.Link, *sink) {
 	t.Helper()

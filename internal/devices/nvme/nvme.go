@@ -289,12 +289,17 @@ type Ctrl struct {
 	adminSQE [SQESize]byte
 	ioSQE    [SQESize]byte
 	stage    [BlockSize]byte
+	// cqe is where postCQE builds each completion entry before its
+	// writeback.
+	cqe [CQESize]byte
 
 	// intPending latches per-CQ completion causes awaiting MSI delivery.
 	intPending uint32
-	// Interrupt coalescing state (RegINTCOAL).
+	// Interrupt coalescing state (RegINTCOAL). intDeferFn is the deferred
+	// interrupt's event callback, built once.
 	lastIntAt   sim.Time
 	intDeferred bool
+	intDeferFn  func()
 
 	// Counters.
 	Commands               uint64
@@ -341,6 +346,10 @@ func New(loop *sim.Loop, bdf pci.BDF, barBase uint64, p Params) *Ctrl {
 	c.InitFunc(bdf, cfg)
 	for qid := range c.step {
 		c.step[qid] = func() { c.ioStep(qid) }
+	}
+	c.intDeferFn = func() {
+		c.intDeferred = false
+		c.maybeInterrupt()
 	}
 	cfg.OnMSIChange = func() {
 		if !cfg.MSI().Masked {
@@ -653,7 +662,8 @@ func (c *Ctrl) postCQE(cqid int, sqid int, cid uint16, result uint32, status uin
 		c.CQOverruns++
 		return false
 	}
-	var e [CQESize]byte
+	e := &c.cqe
+	*e = [CQESize]byte{}
 	putLE32(e[0:4], result)
 	putLE16(e[8:10], uint16(c.sq[sqid].head))
 	putLE16(e[10:12], uint16(sqid))
@@ -693,10 +703,7 @@ func (c *Ctrl) maybeInterrupt() {
 	if gap > 0 && now-c.lastIntAt < gap {
 		if !c.intDeferred {
 			c.intDeferred = true
-			c.loop.At(c.lastIntAt+gap, func() {
-				c.intDeferred = false
-				c.maybeInterrupt()
-			})
+			c.loop.At(c.lastIntAt+gap, c.intDeferFn)
 		}
 		return
 	}

@@ -66,7 +66,8 @@ type NetDevice interface {
 	TxQueues() int
 	// StartXmitQ transmits one Ethernet frame on the given queue
 	// (ndo_start_xmit); indices beyond TxQueues()-1 fall back to queue 0.
-	// The callee owns the slice.
+	// The frame is borrowed for the call: the stack reuses its buffer once
+	// StartXmitQ returns, so a driver copies it (into its ring) first.
 	StartXmitQ(frame []byte, queue int) error
 	// DoIoctl handles device-private ioctls (ndo_do_ioctl), e.g.
 	// SIOCGMIIREG in the paper's example.
@@ -108,7 +109,9 @@ const (
 // backpressured queue never stalls its siblings.
 type NetKernel interface {
 	// NetifRx submits a received frame to the kernel's network stack,
-	// tagged with the RX ring it arrived on. The callee owns the slice.
+	// tagged with the RX ring it arrived on. The frame is borrowed for
+	// the call: the driver reuses its buffer afterwards, so a host that
+	// keeps the bytes copies them.
 	NetifRx(frame []byte, queue int)
 	// CarrierOn/CarrierOff report link state changes (the shared-memory
 	// state the SUD proxy mirrors, §3.3).

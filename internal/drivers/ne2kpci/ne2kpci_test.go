@@ -28,7 +28,8 @@ type capturePeer struct {
 	seen [][]byte
 }
 
-func (p *capturePeer) LinkDeliver(f []byte) { p.seen = append(p.seen, f) }
+// LinkDeliver keeps a copy: the link lends the frame for the call only.
+func (p *capturePeer) LinkDeliver(f []byte) { p.seen = append(p.seen, append([]byte(nil), f...)) }
 
 type world struct {
 	m    *hw.Machine

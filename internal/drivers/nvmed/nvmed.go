@@ -152,6 +152,10 @@ type ctrl struct {
 	// SQDoorbells counts I/O SQ tail MMIO writes (doorbells-per-command is
 	// the submit-side coalescing metric).
 	SQDoorbells uint64
+
+	// sqe is where Submit builds each I/O command before writing it to
+	// the submission ring.
+	sqe [nvme.SQESize]byte
 }
 
 var _ api.BlockDevice = (*ctrl)(nil)
@@ -423,7 +427,8 @@ func (c *ctrl) Submit(q int, req api.BlockRequest) error {
 			return err
 		}
 	}
-	var sqe [nvme.SQESize]byte
+	sqe := &c.sqe
+	*sqe = [nvme.SQESize]byte{}
 	switch {
 	case req.Flush:
 		// A flush barrier: no payload, no LBA — the controller drains its

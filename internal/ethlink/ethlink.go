@@ -31,8 +31,9 @@ const GigabitBps = 1_000_000_000
 
 // Endpoint receives frames from the link.
 type Endpoint interface {
-	// LinkDeliver hands a received frame to the endpoint. The slice is
-	// owned by the callee.
+	// LinkDeliver hands a received frame to the endpoint. The frame is
+	// borrowed for the call: the link reuses its buffer once LinkDeliver
+	// returns, so an endpoint that keeps the frame copies it.
 	LinkDeliver(frame []byte)
 }
 
@@ -50,9 +51,12 @@ type Link struct {
 	// wire holds, per sending side, the frames in flight oldest first,
 	// each with the endpoint it was sent to. Delivery times on one side
 	// never decrease, so each delivery event (deliverFn) hands over the
-	// oldest frame, and sending schedules no closure.
+	// oldest frame, and sending schedules no closure. A frame's wire copy
+	// comes from its side's free list (bufs) and returns there once the
+	// receiver's LinkDeliver returns.
 	wire      [2]sim.FIFO[inflight]
 	deliverFn [2]func()
+	bufs      [2]sim.BufPool
 
 	// Stats per direction (index = sending side).
 	frames [2]uint64
@@ -78,6 +82,7 @@ func NewGigabit(loop *sim.Loop, prop sim.Duration) *Link {
 		l.deliverFn[side] = func() {
 			f := l.wire[side].Pop()
 			f.to.LinkDeliver(f.frame)
+			l.bufs[side].Put(f.frame)
 		}
 	}
 	return l
@@ -108,7 +113,8 @@ func (l *Link) SerializationDelay(n int) sim.Duration {
 // Send transmits frame from the given side (0 or 1). It models the sender's
 // FIFO: transmission begins when the pipe is free, and delivery happens one
 // serialization delay plus propagation later. Send never blocks; overrunning
-// the queue limit drops the frame, as a real FIFO would.
+// the queue limit drops the frame, as a real FIFO would. The link copies the
+// frame, so the caller's buffer is free again when Send returns.
 func (l *Link) Send(side int, frame []byte) error {
 	if side != 0 && side != 1 {
 		return fmt.Errorf("ethlink: bad side %d", side)
@@ -139,7 +145,7 @@ func (l *Link) Send(side int, frame []byte) error {
 	l.busyUntil[side] = done
 	l.frames[side]++
 	l.bytes[side] += uint64(len(frame))
-	buf := make([]byte, len(frame))
+	buf := l.bufs[side].Get(len(frame))
 	copy(buf, frame)
 	l.wire[side].Push(inflight{to: peer, frame: buf})
 	l.loop.At(done+l.prop, l.deliverFn[side])

@@ -12,8 +12,9 @@ type sink struct {
 	loop   *sim.Loop
 }
 
+// LinkDeliver keeps a copy: the link lends the frame for the call only.
 func (s *sink) LinkDeliver(f []byte) {
-	s.frames = append(s.frames, f)
+	s.frames = append(s.frames, append([]byte(nil), f...))
 	s.at = append(s.at, s.loop.Now())
 }
 
@@ -66,6 +67,44 @@ func TestFrameIsCopied(t *testing.T) {
 	loop.Run()
 	if b.frames[0][5] != 1 {
 		t.Fatal("link did not copy the frame at send time")
+	}
+}
+
+// borrower keeps the slices it is lent, breaking the LinkDeliver contract.
+type borrower struct{ frames [][]byte }
+
+func (b *borrower) LinkDeliver(f []byte) { b.frames = append(b.frames, f) }
+
+// TestDeliveredFrameIsBorrowed: LinkDeliver lends the frame for the call.
+// After a second frame crosses the link, a receiver's kept copy of the first
+// is unchanged, while a receiver that kept the lent slice itself sees the
+// wire buffer reused.
+func TestDeliveredFrameIsBorrowed(t *testing.T) {
+	loop := sim.NewLoop()
+	l := NewGigabit(loop, 0)
+	keeper, kept := &sink{loop: loop}, &borrower{}
+	l.Connect(kept, keeper)
+	for i, fill := range []byte{0x11, 0x22} {
+		f := make([]byte, 64)
+		for j := range f {
+			f[j] = fill
+		}
+		if err := l.Send(0, f); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Send(1, f); err != nil {
+			t.Fatal(err)
+		}
+		loop.Run()
+		if len(keeper.frames) != i+1 || len(kept.frames) != i+1 {
+			t.Fatalf("delivered %d and %d frames", len(keeper.frames), len(kept.frames))
+		}
+	}
+	if keeper.frames[0][0] != 0x11 || keeper.frames[1][0] != 0x22 {
+		t.Fatalf("kept copies changed: %#x %#x", keeper.frames[0][0], keeper.frames[1][0])
+	}
+	if kept.frames[0][0] != 0x22 {
+		t.Fatal("the link did not reuse its wire buffer after delivery")
 	}
 }
 
@@ -186,4 +225,47 @@ func TestGigabitSaturationRate(t *testing.T) {
 		t.Fatalf("saturated payload rate = %.1f Mbit/s, want ~941", mbps)
 	}
 	_ = n
+}
+
+// countEnd counts deliveries without keeping frames.
+type countEnd struct{ n int }
+
+func (c *countEnd) LinkDeliver([]byte) { c.n++ }
+
+// TestSendDeliverDoesNotAllocate: once the wire's free list and FIFO have
+// grown, a frame's send and delivery allocate nothing.
+func TestSendDeliverDoesNotAllocate(t *testing.T) {
+	loop := sim.NewLoop()
+	l := NewGigabit(loop, 300)
+	end := &countEnd{}
+	l.Connect(&countEnd{}, end)
+	frame := make([]byte, 64)
+	cycle := func() {
+		if err := l.Send(0, frame); err != nil {
+			t.Fatal(err)
+		}
+		loop.Run()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("%v allocations per send and delivery", allocs)
+	}
+}
+
+// BenchmarkSendDeliver is one 64-byte frame across the link: the wire copy,
+// the delivery event and the buffer's return to the free list.
+func BenchmarkSendDeliver(b *testing.B) {
+	loop := sim.NewLoop()
+	l := NewGigabit(loop, 300)
+	end := &countEnd{}
+	l.Connect(&countEnd{}, end)
+	frame := make([]byte, 64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = l.Send(0, frame)
+		loop.Run()
+	}
+	if end.n != b.N {
+		b.Fatalf("delivered %d of %d", end.n, b.N)
+	}
 }

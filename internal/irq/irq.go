@@ -83,6 +83,28 @@ type Controller struct {
 	windowStart    [256]sim.Time
 	windowCount    [256]int
 	stormSignalled [256]bool
+
+	// free holds delivery records whose events have fired, for reuse.
+	free []*delivery
+}
+
+// delivery is one interrupt in flight from its MSI write to its handler,
+// with its event callback built once per record.
+type delivery struct {
+	c    *Controller
+	v    Vector
+	fire func()
+}
+
+func (d *delivery) run() {
+	c, v := d.c, d.v
+	c.free = append(c.free, d)
+	h := c.handlers[v]
+	if h == nil {
+		c.spurious++
+		return
+	}
+	h(v)
 }
 
 // NewController returns a controller with SUD's default storm policy
@@ -133,14 +155,15 @@ func (c *Controller) MSIWrite(source pci.BDF, addr mem.Addr, data []byte) {
 func (c *Controller) deliver(v Vector) {
 	c.counts[v]++
 	c.trackStorm(v)
-	c.loop.After(c.DeliveryLatency, func() {
-		h := c.handlers[v]
-		if h == nil {
-			c.spurious++
-			return
-		}
-		h(v)
-	})
+	var d *delivery
+	if n := len(c.free); n > 0 {
+		d, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		d = &delivery{c: c}
+		d.fire = d.run
+	}
+	d.v = v
+	c.loop.After(c.DeliveryLatency, d.fire)
 }
 
 // Inject delivers an interrupt directly (used by legacy/internal sources and

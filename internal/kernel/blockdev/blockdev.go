@@ -100,7 +100,7 @@ func (m *Manager) Register(name string, geom api.BlockGeometry, drv api.BlockDev
 	if geom.BlockSize <= 0 || geom.Blocks == 0 {
 		return nil, fmt.Errorf("blockdev: bad geometry %+v", geom)
 	}
-	d := &Dev{Name: name, Geom: geom, mgr: m, drv: drv, inflight: make(map[uint64]*request)}
+	d := &Dev{Name: name, Geom: geom, mgr: m, drv: drv}
 	nq := drv.Queues()
 	if nq < 1 {
 		nq = 1
@@ -133,8 +133,13 @@ func (m *Manager) Unregister(name string) {
 	if d.shadow != nil {
 		d.shadow.Reset()
 	}
-	// Barriers fail like requests: a dispatched flush fails through its
-	// in-flight entry below; an undispatched or queued one fails here.
+	d.failAll()
+}
+
+// failAll fails every request the device holds with ErrDown: barriers,
+// in-flight requests and parked submissions. A dispatched flush fails
+// through its in-flight entry; an undispatched or queued one fails here.
+func (d *Dev) failAll() {
 	if b := d.barrier; b != nil && !b.dispatched {
 		d.barrier = nil
 		b.cb(ErrDown)
@@ -143,18 +148,23 @@ func (m *Manager) Unregister(name string) {
 		b.cb(ErrDown)
 	}
 	d.flushQ = nil
-	for tag, r := range d.inflight {
-		delete(d.inflight, tag)
-		r.cb(nil, ErrDown)
+	var dead []request
+	d.inflight.Range(func(_ uint64, r *request) bool {
+		dead = append(dead, *r)
+		return true
+	})
+	d.inflight.Clear()
+	for _, r := range dead {
+		d.finish(r.done, r.buf, nil, ErrDown)
 	}
 	for q := range d.queues {
 		qc := &d.queues[q]
 		qc.recovering = false
 		qc.drainLeft = 0
-		for _, w := range qc.waiting {
-			w.cb(nil, ErrDown)
+		for qc.waiting.Len() > 0 {
+			w := qc.waiting.Pop()
+			d.finish(w.done, w.req.Data, nil, ErrDown)
 		}
-		qc.waiting = nil
 	}
 }
 
@@ -188,10 +198,10 @@ func (m *Manager) BeginRecovery(name string) (*Dev, error) {
 	m.adopting[name] = d
 	waiting := 0
 	for q := range d.queues {
-		waiting += len(d.queues[q].waiting)
+		waiting += d.queues[q].waiting.Len()
 	}
 	d.Flight.Recordf(trace.FPark, "%s epoch %d: %d in flight, %d queued parked",
-		name, d.epoch, len(d.inflight), waiting)
+		name, d.epoch, d.inflight.Len(), waiting)
 	return d, nil
 }
 
@@ -284,30 +294,8 @@ func (m *Manager) Quarantine(name string) {
 	if d.shadow != nil {
 		d.shadow.Reset()
 	}
-	// A dispatched flush fails through its in-flight entry below; an
-	// undispatched or queued one fails here (same discipline as Unregister).
-	if b := d.barrier; b != nil && !b.dispatched {
-		d.barrier = nil
-		b.cb(ErrDown)
-	}
-	for _, b := range d.flushQ {
-		b.cb(ErrDown)
-	}
-	d.flushQ = nil
-	for tag, r := range d.inflight {
-		delete(d.inflight, tag)
-		r.cb(nil, ErrDown)
-	}
+	d.failAll()
 	d.barrier = nil
-	for q := range d.queues {
-		qc := &d.queues[q]
-		qc.recovering = false
-		qc.drainLeft = 0
-		for _, w := range qc.waiting {
-			w.cb(nil, ErrDown)
-		}
-		qc.waiting = nil
-	}
 }
 
 // Dev looks up a device by name.
@@ -336,7 +324,7 @@ type QueueCtx struct {
 	ID int
 
 	stalled bool
-	waiting []queued
+	waiting sim.FIFO[queued]
 
 	// Surgical recovery state: the supervisor quarantined this one queue
 	// (its DMA sub-domain revoked) while siblings keep flowing. Epoch is
@@ -366,23 +354,44 @@ func (qc *QueueCtx) Stalled() bool { return qc.stalled }
 func (qc *QueueCtx) Recovering() bool { return qc.recovering }
 
 // Waiting reports the software queue depth.
-func (qc *QueueCtx) Waiting() int { return len(qc.waiting) }
+func (qc *QueueCtx) Waiting() int { return qc.waiting.Len() }
 
 // queued is one parked submission.
 type queued struct {
-	req api.BlockRequest
-	cb  func([]byte, error)
+	req  api.BlockRequest
+	done completion
 }
 
-// request is one in-flight request awaiting completion.
+// request is one in-flight request awaiting completion, held by value in
+// the device's tag table.
 type request struct {
 	q     int
 	write bool
 	flush bool
 	// at is the dispatch stamp; Complete turns it into the per-queue
 	// end-to-end latency sample (always-on metrics plane, zero cost).
-	at sim.Time
-	cb func([]byte, error)
+	at   sim.Time
+	done completion
+	// buf is the block core's copy of a write payload (the request's
+	// Data), returned to the device's free list once the request is done.
+	buf []byte
+}
+
+// completion is how a request reports back: reads and barriers through cb,
+// writes through wcb.
+type completion struct {
+	cb  func([]byte, error)
+	wcb func(error)
+}
+
+// finish delivers a request's outcome and recycles its payload copy.
+func (d *Dev) finish(c completion, buf, data []byte, err error) {
+	if c.wcb != nil {
+		c.wcb(err)
+	} else {
+		c.cb(data, err)
+	}
+	d.bufs.Put(buf)
 }
 
 // flushOp is one Flush() barrier moving through the device: queued, then
@@ -414,8 +423,11 @@ type Dev struct {
 	replay     [][]shadow.PendingBlock
 
 	queues   []QueueCtx
-	inflight map[uint64]*request
+	inflight sim.TagTable[request]
 	nextTag  uint64
+	// bufs holds the block core's write-payload copies (writeAtQ) between
+	// requests.
+	bufs sim.BufPool
 
 	// Barrier state: one flush barrier is active at a time; later Flush()
 	// calls queue behind it. While a barrier is active every new
@@ -526,7 +538,7 @@ func (d *Dev) Down() error {
 func (d *Dev) IsUp() bool { return d.up }
 
 // InFlight reports requests submitted but not yet completed.
-func (d *Dev) InFlight() int { return len(d.inflight) }
+func (d *Dev) InFlight() int { return d.inflight.Len() }
 
 // QueueForLBA is the submission steering hash: the queue a block lands on
 // among nq queues. Fibonacci hashing spreads sequential LBAs uniformly, so
@@ -551,7 +563,7 @@ func (d *Dev) ReadAt(lba uint64, cb func([]byte, error)) error {
 // ReadAtQ reads the block at lba on an explicit queue. Like ReadAt, cb
 // borrows the payload for the call only.
 func (d *Dev) ReadAtQ(lba uint64, q int, cb func([]byte, error)) error {
-	return d.submit(q, api.BlockRequest{LBA: lba}, cb)
+	return d.submit(q, api.BlockRequest{LBA: lba}, completion{cb: cb})
 }
 
 // WriteAt writes one block (exactly BlockSize bytes) at lba, steering by
@@ -574,22 +586,22 @@ func (d *Dev) WriteAtFUA(lba uint64, data []byte, cb func(error)) error {
 	return d.writeAtQ(lba, QueueForLBA(lba, len(d.queues)), data, true, cb)
 }
 
-// WriteAtFUAQ is WriteAtFUA on an explicit queue.
-func (d *Dev) WriteAtFUAQ(lba uint64, q int, data []byte, cb func(error)) error {
-	return d.writeAtQ(lba, q, data, true, cb)
-}
-
 func (d *Dev) writeAtQ(lba uint64, q int, data []byte, fua bool, cb func(error)) error {
 	if len(data) != d.Geom.BlockSize {
 		return ErrBadSize
 	}
 	// The block core owns the payload for the request's lifetime, like
-	// the page cache owns a bio's pages.
-	buf := make([]byte, len(data))
+	// the page cache owns a bio's pages. The copy comes from the device's
+	// free list and returns there at completion.
+	buf := d.bufs.Get(len(data))
 	copy(buf, data)
 	d.mgr.Acct.Charge(sim.Copy(len(data)))
-	return d.submit(q, api.BlockRequest{Write: true, LBA: lba, Data: buf, FUA: fua},
-		func(_ []byte, err error) { cb(err) })
+	err := d.submit(q, api.BlockRequest{Write: true, LBA: lba, Data: buf, FUA: fua},
+		completion{wcb: cb})
+	if err != nil {
+		d.bufs.Put(buf)
+	}
+	return err
 }
 
 // Flush issues a write barrier (REQ_OP_FLUSH): cb runs once every write
@@ -609,9 +621,6 @@ func (d *Dev) Flush(cb func(error)) error {
 	return nil
 }
 
-// FlushPending reports whether a barrier is active or queued (tests).
-func (d *Dev) FlushPending() bool { return d.barrier != nil || len(d.flushQ) > 0 }
-
 // pumpBarrier advances the barrier state machine: activate the next queued
 // flush, and once the in-flight table is drained hand the flush itself to
 // the driver on queue 0 under its own tag (logged in the shadow like any
@@ -628,12 +637,12 @@ func (d *Dev) pumpBarrier() {
 		d.flushQ = d.flushQ[1:]
 	}
 	b := d.barrier
-	if b.dispatched || len(d.inflight) != 0 {
+	if b.dispatched || d.inflight.Len() != 0 {
 		return
 	}
 	b.dispatched = true
 	if !d.dispatch(0, api.BlockRequest{Flush: true},
-		func(_ []byte, err error) { d.finishBarrier(b, err) }) {
+		completion{cb: func(_ []byte, err error) { d.finishBarrier(b, err) }}) {
 		// The driver refused the flush (queue full): retried on the next
 		// wake.
 		b.dispatched = false
@@ -662,7 +671,7 @@ func (d *Dev) finishBarrier(b *flushOp, err error) {
 // submit validates, tags and dispatches one request; a stalled or full
 // hardware queue — a device whose driver is being restarted, or one with a
 // flush barrier in flight — parks it in that queue's software queue.
-func (d *Dev) submit(q int, req api.BlockRequest, cb func([]byte, error)) error {
+func (d *Dev) submit(q int, req api.BlockRequest, done completion) error {
 	if !d.up {
 		return ErrDown
 	}
@@ -673,30 +682,30 @@ func (d *Dev) submit(q int, req api.BlockRequest, cb func([]byte, error)) error 
 	qc := &d.queues[q]
 	d.mgr.Acct.Charge(CostSubmitPath)
 	if qc.stalled || qc.recovering || d.recovering || d.barrier != nil {
-		if len(qc.waiting) >= MaxQueuedPerQueue {
+		if qc.waiting.Len() >= MaxQueuedPerQueue {
 			return ErrCongested
 		}
-		qc.waiting = append(qc.waiting, queued{req: req, cb: cb})
+		qc.waiting.Push(queued{req: req, done: done})
 		return nil
 	}
-	if !d.dispatch(q, req, cb) {
+	if !d.dispatch(q, req, done) {
 		qc.stalled = true
-		qc.waiting = append(qc.waiting, queued{req: req, cb: cb})
+		qc.waiting.Push(queued{req: req, done: done})
 	}
 	return nil
 }
 
 // dispatch hands one request to the driver; it reports false when the
 // hardware queue refused it (park and stall).
-func (d *Dev) dispatch(q int, req api.BlockRequest, cb func([]byte, error)) bool {
+func (d *Dev) dispatch(q int, req api.BlockRequest, done completion) bool {
 	qc := &d.queues[q]
 	req.Tag = d.nextTag
 	d.nextTag++
-	d.inflight[req.Tag] = &request{q: q, write: req.Write, flush: req.Flush,
-		at: d.mgr.Loop.Now(), cb: cb}
+	d.inflight.Put(req.Tag, request{q: q, write: req.Write, flush: req.Flush,
+		at: d.mgr.Loop.Now(), done: done, buf: req.Data})
 	d.mgr.Trace.Event(trace.ClassBlk, q, req.Tag, trace.HopSubmit)
 	if err := d.drv.Submit(q, req); err != nil {
-		delete(d.inflight, req.Tag)
+		d.inflight.Delete(req.Tag)
 		return false
 	}
 	if d.shadow != nil {
@@ -723,12 +732,11 @@ func (d *Dev) dispatch(q int, req api.BlockRequest, cb func([]byte, error)) bool
 // calls the same entry after validating and guard-copying the untrusted
 // reference. data is lent straight to the request's callback.
 func (d *Dev) Complete(q int, tag uint64, err error, data []byte) {
-	r, ok := d.inflight[tag]
+	r, ok := d.inflight.Delete(tag)
 	if !ok {
 		d.BadCompletions++
 		return
 	}
-	delete(d.inflight, tag)
 	if d.shadow != nil {
 		d.shadow.RecordComplete(tag)
 	}
@@ -758,10 +766,9 @@ func (d *Dev) Complete(q int, tag uint64, err error, data []byte) {
 	}
 	if err != nil {
 		qc.Errors++
-		r.cb(nil, err)
-	} else {
-		r.cb(data, nil)
+		data = nil
 	}
+	d.finish(r.done, r.buf, data, err)
 	// The in-flight table draining may be what an active barrier is
 	// waiting for.
 	if d.barrier != nil && !d.barrier.dispatched {
@@ -794,13 +801,13 @@ func (d *Dev) WakeQueueQ(q int) {
 		return
 	}
 	qc.stalled = false
-	for len(qc.waiting) > 0 {
-		w := qc.waiting[0]
-		if !d.dispatch(qc.ID, w.req, w.cb) {
+	for qc.waiting.Len() > 0 {
+		w := qc.waiting.Peek()
+		if !d.dispatch(qc.ID, w.req, w.done) {
 			qc.stalled = true
 			return
 		}
-		qc.waiting = qc.waiting[1:]
+		qc.waiting.Pop()
 	}
 	if h := qc.OnWake; h != nil {
 		h()
@@ -861,7 +868,7 @@ func (d *Dev) CompleteRecovery() (int, error) {
 	// died; when the last of them completes (replayed or raced), the
 	// recovery has drained.
 	d.drainBelow = d.nextTag
-	d.drainLeft = len(d.inflight)
+	d.drainLeft = d.inflight.Len()
 	d.Flight.Recordf(trace.FReplay, "%s epoch %d: %d logged requests scheduled for replay",
 		d.Name, d.epoch, n)
 	if d.drainLeft == 0 {
@@ -901,13 +908,14 @@ func (d *Dev) BeginQueueRecovery(q int) {
 	qc.Epoch++
 	qc.drainBelow = d.nextTag
 	qc.drainLeft = 0
-	for _, r := range d.inflight {
+	d.inflight.Range(func(_ uint64, r *request) bool {
 		if r.q == qc.ID {
 			qc.drainLeft++
 		}
-	}
+		return true
+	})
 	d.Flight.Recordf(trace.FPark, "%s q%d epoch %d: %d in flight, %d queued parked",
-		d.Name, qc.ID, qc.Epoch, qc.drainLeft, len(qc.waiting))
+		d.Name, qc.ID, qc.Epoch, qc.drainLeft, qc.waiting.Len())
 }
 
 // CompleteQueueRecovery finishes a surgical recovery: the supervisor

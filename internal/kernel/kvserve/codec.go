@@ -119,9 +119,8 @@ func DecodeRequest(b []byte) (Request, error) {
 	return r, nil
 }
 
-// EncodeResponse serialises a reply.
-func EncodeResponse(r Response) []byte {
-	b := make([]byte, 0, 1+8+2+len(r.Val))
+// AppendResponse serialises a reply onto b.
+func AppendResponse(b []byte, r Response) []byte {
 	b = append(b, r.Status)
 	b = binary.BigEndian.AppendUint64(b, r.ID)
 	b = binary.BigEndian.AppendUint16(b, uint16(len(r.Val)))

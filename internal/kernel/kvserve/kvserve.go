@@ -52,6 +52,9 @@ type Server struct {
 	// block is the scratch a PUT's block image is packed into; the block
 	// core copies it at WriteAtQ, so one per server suffices.
 	block []byte
+	// resp is the scratch a reply is encoded into; the netstack copies it
+	// into the frame, so one per server suffices.
+	resp []byte
 }
 
 // New binds one UDP socket per tenant on stack/ifc and wires each shard to
@@ -130,9 +133,17 @@ func (s *Server) serve(tn *Tenant, payload []byte, srcIP netstack.IP, srcPort ui
 		s.reply(tn, srcIP, srcPort, Response{Status: StOK, ID: req.ID})
 	case OpPut:
 		tn.Puts++
-		key := string(req.Key)
-		val := append([]byte(nil), req.Val...)
-		tn.store[key] = val
+		key := req.Key
+		// The request payload is borrowed; the store keeps its own copy,
+		// overwritten in place when the key already holds a value of the
+		// same length (replies and the persisted block copy it out).
+		val, ok := tn.store[string(key)]
+		if ok && len(val) == len(req.Val) {
+			copy(val, req.Val)
+		} else {
+			val = append([]byte(nil), req.Val...)
+			tn.store[string(key)] = val
+		}
 		if s.cfg.Store == nil {
 			s.reply(tn, srcIP, srcPort, Response{Status: StOK, ID: req.ID})
 			return
@@ -157,8 +168,8 @@ func (s *Server) serve(tn *Tenant, payload []byte, srcIP netstack.IP, srcPort ui
 
 // reply transmits a response pinned to the tenant's NIC queue.
 func (s *Server) reply(tn *Tenant, dstIP netstack.IP, dstPort uint16, resp Response) {
-	err := s.stack.UDPSendToQ(s.ifc, s.cfg.ClientMAC, dstIP, tn.Port, dstPort,
-		EncodeResponse(resp), tn.Queue)
+	s.resp = AppendResponse(s.resp[:0], resp)
+	err := s.stack.UDPSendToQ(s.ifc, s.cfg.ClientMAC, dstIP, tn.Port, dstPort, s.resp, tn.Queue)
 	if err != nil {
 		// TX backpressure or a parked queue: the reply is lost and the
 		// client retransmits. Confinement means this stays on tn.Queue.
@@ -167,14 +178,14 @@ func (s *Server) reply(tn *Tenant, dstIP netstack.IP, dstPort uint16, resp Respo
 }
 
 // blockFor maps a key into the tenant's LBA region.
-func (s *Server) blockFor(tn *Tenant, key string) uint64 {
+func (s *Server) blockFor(tn *Tenant, key []byte) uint64 {
 	base := s.cfg.LBABase + uint64(tn.ID)*s.cfg.BlocksPerTenant
 	return base + fnv64(key)%s.cfg.BlocksPerTenant
 }
 
 // packBlock lays `klen(1) key vlen(2) val` into one zero-padded block. The
 // result is the server's scratch, valid until the next packBlock.
-func (s *Server) packBlock(key string, val []byte) []byte {
+func (s *Server) packBlock(key, val []byte) []byte {
 	if len(s.block) != s.cfg.Store.Geom.BlockSize {
 		s.block = make([]byte, s.cfg.Store.Geom.BlockSize)
 	}
@@ -190,7 +201,7 @@ func (s *Server) packBlock(key string, val []byte) []byte {
 }
 
 // fnv64 is FNV-1a; it only has to spread keys across a tenant's blocks.
-func fnv64(s string) uint64 {
+func fnv64(s []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])

@@ -33,7 +33,7 @@ func (d *mqDev) StartXmitQ(f []byte, q int) error {
 	if d.txq == nil {
 		d.txq = map[int][][]byte{}
 	}
-	d.txq[q] = append(d.txq[q], f)
+	d.txq[q] = append(d.txq[q], append([]byte(nil), f...)) // the stack lends f for the call
 	return nil
 }
 func (d *mqDev) DoIoctl(cmd uint32, arg []byte) ([]byte, error) { return nil, nil }
@@ -279,7 +279,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		}
 	}
 	resp := Response{Status: StOK, ID: 99, Val: []byte("payload")}
-	got, err := DecodeResponse(EncodeResponse(resp))
+	got, err := DecodeResponse(AppendResponse(nil, resp))
 	if err != nil || got.Status != resp.Status || got.ID != resp.ID || !bytes.Equal(got.Val, resp.Val) {
 		t.Fatalf("response round trip %+v (%v)", got, err)
 	}

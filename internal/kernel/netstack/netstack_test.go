@@ -26,11 +26,12 @@ type loopDev struct {
 func (d *loopDev) Open() error   { d.opened = true; return nil }
 func (d *loopDev) Stop() error   { d.stopped = true; return nil }
 func (d *loopDev) TxQueues() int { return 1 }
+// StartXmitQ keeps a copy: the stack lends the frame for the call only.
 func (d *loopDev) StartXmitQ(f []byte, _ int) error {
 	if d.failXmit {
 		return ErrQueueStopped
 	}
-	d.tx = append(d.tx, f)
+	d.tx = append(d.tx, append([]byte(nil), f...))
 	return nil
 }
 func (d *loopDev) DoIoctl(cmd uint32, arg []byte) ([]byte, error) {
@@ -240,7 +241,7 @@ func (d *mqDev) StartXmitQ(f []byte, q int) error {
 	if d.txq == nil {
 		d.txq = map[int][][]byte{}
 	}
-	d.txq[q] = append(d.txq[q], f)
+	d.txq[q] = append(d.txq[q], append([]byte(nil), f...))
 	return nil
 }
 

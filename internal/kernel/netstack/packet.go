@@ -266,26 +266,33 @@ func ParseTCP(src, dstIP IP, seg []byte, verify bool) (TCPHeader, []byte, error)
 
 // BuildUDPFrame assembles a complete Ethernet frame carrying a UDP datagram.
 func BuildUDPFrame(srcMAC, dstMAC MAC, srcIP, dstIP IP, sport, dport uint16, payload []byte) []byte {
-	frame := startIPv4Frame(srcMAC, dstMAC, UDPHeaderLen+len(payload))
+	return buildUDPFrame(nil, srcMAC, dstMAC, srcIP, dstIP, sport, dport, payload)
+}
+
+// buildUDPFrame is BuildUDPFrame into buf's storage when it has room.
+func buildUDPFrame(buf []byte, srcMAC, dstMAC MAC, srcIP, dstIP IP, sport, dport uint16, payload []byte) []byte {
+	frame := startIPv4Frame(buf, srcMAC, dstMAC, UDPHeaderLen+len(payload))
 	frame = MarshalUDP(frame, srcIP, dstIP, UDPHeader{SrcPort: sport, DstPort: dport}, payload)
 	return finishIPv4Frame(frame, ProtoUDP, srcIP, dstIP)
 }
 
 // BuildTCPFrame assembles a complete Ethernet frame carrying a TCP segment.
 func BuildTCPFrame(srcMAC, dstMAC MAC, srcIP, dstIP IP, h TCPHeader, payload []byte) []byte {
-	frame := startIPv4Frame(srcMAC, dstMAC, TCPHeaderLen+len(payload))
+	frame := startIPv4Frame(nil, srcMAC, dstMAC, TCPHeaderLen+len(payload))
 	frame = MarshalTCP(frame, srcIP, dstIP, h, payload)
 	return finishIPv4Frame(frame, ProtoTCP, srcIP, dstIP)
 }
 
-// startIPv4Frame allocates a frame for an l4len-byte transport segment,
-// writes the MAC header and reserves room for the IP header. The segment
-// is then marshalled straight into the frame, so building one costs a
-// single allocation.
-func startIPv4Frame(srcMAC, dstMAC MAC, l4len int) []byte {
-	frame := make([]byte, 0, EthHeaderLen+IPv4HeaderLen+l4len)
+// startIPv4Frame lays out a frame for an l4len-byte transport segment in
+// buf's storage (allocating when it is too small), writes the MAC header and
+// reserves room for the IP header. The segment is then marshalled straight
+// into the frame, so building one costs at most a single allocation.
+func startIPv4Frame(buf []byte, srcMAC, dstMAC MAC, l4len int) []byte {
+	if n := EthHeaderLen + IPv4HeaderLen + l4len; cap(buf) < n {
+		buf = make([]byte, 0, n)
+	}
 	eh := EthHeader{Dst: dstMAC, Src: srcMAC, EtherType: EtherTypeIPv4}
-	frame = eh.Marshal(frame)
+	frame := eh.Marshal(buf[:0])
 	return frame[:EthHeaderLen+IPv4HeaderLen]
 }
 

@@ -100,6 +100,10 @@ type IfaceQueue struct {
 	// the driver's xmit-done credit returning the slot.
 	TxLat trace.Hist
 
+	// txFrame is the buffer UDPSendToQ builds this queue's frames in; the
+	// driver borrows each frame only for StartXmitQ.
+	txFrame []byte
+
 	// OnWake, if set, runs when this queue is woken; when unset the
 	// interface-level OnWake hook fires instead.
 	OnWake func()
@@ -671,13 +675,6 @@ func (s *Stack) xmitQ(ifc *Iface, frame []byte, q int) error {
 		return ErrQueueStopped
 	}
 	s.Acct.Charge(CostTxPath)
-	// Shadow the frame before the driver takes ownership of the slice: a
-	// supervised driver may die holding it, and the log entry is what the
-	// recovery replays. Committed only if the driver accepts the frame.
-	var logged []byte
-	if ifc.Shadow != nil {
-		logged = append([]byte(nil), frame...)
-	}
 	if err := ifc.dev.StartXmitQ(frame, q); err != nil {
 		// Driver signals ring-full backpressure by error; this queue
 		// stays stopped until WakeQueue — siblings keep transmitting.
@@ -686,7 +683,10 @@ func (s *Stack) xmitQ(ifc *Iface, frame []byte, q int) error {
 		return fmt.Errorf("%w: %v", ErrQueueStopped, err)
 	}
 	if ifc.Shadow != nil {
-		ifc.Shadow.RecordXmit(q, logged)
+		// The driver borrowed the frame for the call; the shadow logs its
+		// own copy, which is what a recovery replays if the driver dies
+		// before the xmit-done credit.
+		ifc.Shadow.RecordXmit(q, frame)
 	}
 	qc.TxFrames++
 	s.TxFrames++
@@ -695,11 +695,10 @@ func (s *Stack) xmitQ(ifc *Iface, frame []byte, q int) error {
 
 // UDPSendTo builds and transmits a UDP datagram. dstMAC stands in for ARP
 // resolution (the benchmark LAN has static neighbours).
+// The frame takes the queue its flow hashes to (TxQueueForPorts, which is
+// TxQueueForFrame of the built frame).
 func (s *Stack) UDPSendTo(ifc *Iface, dstMAC MAC, dstIP IP, sport, dport uint16, payload []byte) error {
-	// Header construction + payload checksum+copy into the skb.
-	s.Acct.Charge(sim.ChecksumCopy(len(payload)))
-	frame := BuildUDPFrame(ifc.MAC, dstMAC, ifc.IP, dstIP, sport, dport, payload)
-	return s.xmit(ifc, frame)
+	return s.UDPSendToQ(ifc, dstMAC, dstIP, sport, dport, payload, TxQueueForPorts(sport, dport, len(ifc.queues)))
 }
 
 // UDPSendToQ is UDPSendTo with the TX queue pinned by the caller rather than
@@ -709,7 +708,14 @@ func (s *Stack) UDPSendTo(ifc *Iface, dstMAC MAC, dstIP IP, sport, dport uint16,
 // flow's hash would land elsewhere, so per-queue confinement stays a tenant
 // isolation boundary in both directions.
 func (s *Stack) UDPSendToQ(ifc *Iface, dstMAC MAC, dstIP IP, sport, dport uint16, payload []byte, q int) error {
+	// Header construction + payload checksum+copy into the skb.
 	s.Acct.Charge(sim.ChecksumCopy(len(payload)))
-	frame := BuildUDPFrame(ifc.MAC, dstMAC, ifc.IP, dstIP, sport, dport, payload)
-	return s.xmitQ(ifc, frame, q)
+	// The frame is built in the queue's buffer, which leaves the queue
+	// for the send so that a send nested inside it builds its own.
+	qc := &ifc.queues[ifc.clampQ(q)]
+	frame := buildUDPFrame(qc.txFrame, ifc.MAC, dstMAC, ifc.IP, dstIP, sport, dport, payload)
+	qc.txFrame = nil
+	err := s.xmitQ(ifc, frame, q)
+	qc.txFrame = frame
+	return err
 }

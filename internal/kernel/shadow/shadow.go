@@ -39,6 +39,7 @@ package shadow
 
 import (
 	"sud/internal/drivers/api"
+	"sud/internal/sim"
 )
 
 // PendingBlock is one logged in-flight block request: the queue it was
@@ -58,11 +59,11 @@ type Block struct {
 	Geom api.BlockGeometry
 
 	seq uint64
-	log map[uint64]PendingBlock // tag → pending request
+	log sim.TagTable[PendingBlock] // tag → pending request
 
-	// free holds write-payload copies whose requests completed, for reuse
+	// bufs holds write-payload copies whose requests completed, for reuse
 	// by later RecordSubmit calls.
-	free [][]byte
+	bufs sim.BufPool
 
 	// Replayed counts requests re-submitted across all recoveries.
 	Replayed uint64
@@ -71,25 +72,20 @@ type Block struct {
 // NewBlock returns an empty block shadow for a device with the given
 // geometry.
 func NewBlock(geom api.BlockGeometry) *Block {
-	return &Block{Geom: geom, log: make(map[uint64]PendingBlock)}
+	return &Block{Geom: geom}
 }
 
 // RecordSubmit logs one request handed to the driver on queue q. The write
 // payload is copied: the block core's buffer is released on completion, but
 // the log entry must outlive a driver that dies without completing. The
-// copy's buffer comes from the log's free list when one is available.
+// copy's buffer comes from the log's free list.
 func (s *Block) RecordSubmit(q int, req api.BlockRequest) {
 	if req.Data != nil {
-		var buf []byte
-		if n := len(s.free); n > 0 && cap(s.free[n-1]) >= len(req.Data) {
-			buf, s.free = s.free[n-1][:len(req.Data)], s.free[:n-1]
-		} else {
-			buf = make([]byte, len(req.Data))
-		}
+		buf := s.bufs.Get(len(req.Data))
 		copy(buf, req.Data)
 		req.Data = buf
 	}
-	s.log[req.Tag] = PendingBlock{Q: q, Req: req, Seq: s.seq}
+	s.log.Put(req.Tag, PendingBlock{Q: q, Req: req, Seq: s.seq})
 	s.seq++
 }
 
@@ -98,13 +94,8 @@ func (s *Block) RecordSubmit(q int, req api.BlockRequest) {
 // would be harmlessly idempotent, but a read would complete twice). The
 // entry's payload copy returns to the free list.
 func (s *Block) RecordComplete(tag uint64) {
-	p, ok := s.log[tag]
-	if !ok {
-		return
-	}
-	delete(s.log, tag)
-	if p.Req.Data != nil {
-		s.free = append(s.free, p.Req.Data)
+	if p, ok := s.log.Delete(tag); ok && p.Req.Data != nil {
+		s.bufs.Put(p.Req.Data)
 	}
 }
 
@@ -118,7 +109,7 @@ func owned(p PendingBlock) PendingBlock {
 }
 
 // Pending reports the logged in-flight request count.
-func (s *Block) Pending() int { return len(s.log) }
+func (s *Block) Pending() int { return s.log.Len() }
 
 // PendingByQueue returns the log split per queue (clamped to nq queues),
 // each queue's requests in original submission order — the replay schedule.
@@ -130,13 +121,14 @@ func (s *Block) PendingByQueue(nq int) [][]PendingBlock {
 		nq = 1
 	}
 	out := make([][]PendingBlock, nq)
-	for _, p := range s.log {
+	s.log.Range(func(_ uint64, p *PendingBlock) bool {
 		q := p.Q
 		if q < 0 || q >= nq {
 			q = 0
 		}
-		out[q] = append(out[q], owned(p))
-	}
+		out[q] = append(out[q], owned(*p))
+		return true
+	})
 	for q := range out {
 		sortBySeq(out[q])
 	}
@@ -154,15 +146,16 @@ func (s *Block) PendingForQueue(q, nq int) []PendingBlock {
 		nq = 1
 	}
 	var out []PendingBlock
-	for _, p := range s.log {
+	s.log.Range(func(_ uint64, p *PendingBlock) bool {
 		pq := p.Q
 		if pq < 0 || pq >= nq {
 			pq = 0
 		}
 		if pq == q {
-			out = append(out, owned(p))
+			out = append(out, owned(*p))
 		}
-	}
+		return true
+	})
 	sortBySeq(out)
 	return out
 }
@@ -170,7 +163,7 @@ func (s *Block) PendingForQueue(q, nq int) []PendingBlock {
 // Reset drops the log (device unregistered while recovering: the parked
 // requests were failed, so there is nothing left to replay).
 func (s *Block) Reset() {
-	s.log = make(map[uint64]PendingBlock)
+	s.log.Clear()
 }
 
 // sortBySeq orders a replay slice by submission sequence (insertion sort:
@@ -204,11 +197,11 @@ type Net struct {
 	// Snapshots counts BeginRecovery captures (one per death).
 	Snapshots uint64
 
-	// txLog is the per-queue FIFO of unconfirmed transmitted frames. Entries
+	// txLog is the per-queue ring of unconfirmed transmitted frames. Entries
 	// are appended by RecordXmit when the netstack hands a frame to the
 	// driver and removed — oldest first, matching the driver's in-order ring
 	// reclaim — by ConfirmXmit when the xmit-done credit returns.
-	txLog [][][]byte
+	txLog []txRing
 
 	// TxLogged / TxConfirmed / TxReplayed / TxOverflow count log appends,
 	// credit-confirmed removals, frames re-submitted by recoveries, and
@@ -221,60 +214,65 @@ type Net struct {
 // so eviction only fires when confirmations are being withheld.
 const TxLogCap = 256
 
-func (s *Net) queueLog(q int) int {
+// txRing is one queue's TX log: the unconfirmed frames, oldest first, each
+// in a buffer from the ring's free list, which confirmations refill.
+type txRing struct {
+	frames sim.FIFO[[]byte]
+	bufs   sim.BufPool
+}
+
+func (s *Net) queueLog(q int) *txRing {
 	if q < 0 {
 		q = 0
 	}
 	for len(s.txLog) <= q {
-		s.txLog = append(s.txLog, nil)
+		s.txLog = append(s.txLog, txRing{})
 	}
-	return q
+	return &s.txLog[q]
 }
 
-// RecordXmit logs one frame handed to the driver on queue q. The log takes
-// ownership of the slice: callers pass a private copy taken before the
-// driver (which owns the original after StartXmit) could touch it, so the
-// entry outlives a driver that dies holding the frame.
+// RecordXmit logs a copy of one frame the driver accepted on queue q; the
+// frame itself stays the caller's. The copy lives in the log's own buffer,
+// so the entry outlives a driver that dies holding the frame.
 func (s *Net) RecordXmit(q int, frame []byte) {
-	q = s.queueLog(q)
-	if len(s.txLog[q]) >= TxLogCap {
-		s.txLog[q] = s.txLog[q][1:]
+	r := s.queueLog(q)
+	if r.frames.Len() >= TxLogCap {
+		r.bufs.Put(r.frames.Pop())
 		s.TxOverflow++
 	}
-	s.txLog[q] = append(s.txLog[q], frame)
+	buf := r.bufs.Get(len(frame))
+	copy(buf, frame)
+	r.frames.Push(buf)
 	s.TxLogged++
 }
 
 // ConfirmXmit erases queue q's oldest unconfirmed frame: its xmit-done
 // credit arrived, so the frame left the device and must not be replayed.
+// Its buffer returns to the queue's free list.
 func (s *Net) ConfirmXmit(q int) {
-	q = s.queueLog(q)
-	if len(s.txLog[q]) == 0 {
+	r := s.queueLog(q)
+	if r.frames.Len() == 0 {
 		return
 	}
-	s.txLog[q] = s.txLog[q][1:]
+	r.bufs.Put(r.frames.Pop())
 	s.TxConfirmed++
 }
 
 // PendingTx reports queue q's unconfirmed-frame count.
 func (s *Net) PendingTx(q int) int {
-	return len(s.txLog[s.queueLog(q)])
+	return s.queueLog(q).frames.Len()
 }
 
 // TakePendingTx consumes and returns queue q's unconfirmed frames in
-// original submission order — the replay schedule. Unlike the block log
-// (keyed by tag, erased on completion), replayed frames re-enter the log
-// through the normal RecordXmit path as the recovery re-submits them, so
-// the entries must leave it first.
+// original submission order — the replay schedule, which owns them. Unlike
+// the block log (keyed by tag, erased on completion), replayed frames
+// re-enter the log through the normal RecordXmit path as the recovery
+// re-submits them, so the entries must leave it first.
 func (s *Net) TakePendingTx(q int) [][]byte {
-	q = s.queueLog(q)
-	out := s.txLog[q]
-	s.txLog[q] = nil
+	r := s.queueLog(q)
+	var out [][]byte
+	for r.frames.Len() > 0 {
+		out = append(out, r.frames.Pop())
+	}
 	return out
-}
-
-// ResetTx drops the whole TX log (interface unregistered while recovering:
-// nothing is left to replay).
-func (s *Net) ResetTx() {
-	s.txLog = nil
 }

@@ -33,6 +33,10 @@ type FuncBase struct {
 	bdf  BDF
 	cfg  *ConfigSpace
 	port Port
+
+	// msiData is the payload RaiseMSI writes; the fabric reads it during
+	// the write and keeps nothing.
+	msiData [4]byte
 }
 
 // InitFunc initialises the embedded base.
@@ -103,12 +107,12 @@ func (f *FuncBase) RaiseMSI() bool {
 	if !msi.Present || !msi.Enabled || msi.Masked || f.port == nil {
 		return false
 	}
-	data := []byte{byte(msi.Data), byte(msi.Data >> 8), 0, 0}
+	f.msiData = [4]byte{byte(msi.Data), byte(msi.Data >> 8), 0, 0}
 	c := f.port.Upstream(TLP{
 		Type:      MemWrite,
 		Requester: f.bdf,
 		Addr:      mem.Addr(msi.Address),
-		Data:      data,
+		Data:      f.msiData[:],
 	})
 	return c.OK()
 }

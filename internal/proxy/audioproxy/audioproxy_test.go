@@ -32,12 +32,12 @@ func newRig(t *testing.T) *rig {
 	df := pciaccess.Open(k, codec, 1001, acct)
 	c := uchan.New(m.Loop, k.Acct, acct)
 	r := &rig{m: m, k: k, c: c}
-	c.DriverHandler = func(msg uchan.Msg) *uchan.Msg {
+	c.DriverHandler = func(msg uchan.Msg) (uchan.Msg, bool) {
 		r.upcalls = append(r.upcalls, msg)
 		if r.reply != nil {
-			return r.reply(msg)
+			return *r.reply(msg), true
 		}
-		return &uchan.Msg{Seq: msg.Seq}
+		return uchan.Msg{Seq: msg.Seq}, true
 	}
 	p, err := New(k.Audio, df, c, "hda0")
 	if err != nil {

@@ -40,13 +40,14 @@ type CompRef struct {
 	Len    uint32
 }
 
-// EncodeBlkBatch marshals up to MaxBlkBatch completions into batch bytes.
-// Longer slices are truncated to MaxBlkBatch (callers flush at the bound).
-func EncodeBlkBatch(comps []CompRef) []byte {
+// EncodeBlkBatch marshals up to MaxBlkBatch completions into batch bytes, in
+// buf's storage when it has room (protocol.NewBatch). Longer slices are
+// truncated to MaxBlkBatch (callers flush at the bound).
+func EncodeBlkBatch(buf []byte, comps []CompRef) []byte {
 	if len(comps) > MaxBlkBatch {
 		comps = comps[:MaxBlkBatch]
 	}
-	buf := protocol.NewBatch(len(comps), blkCompLen)
+	buf = protocol.NewBatch(buf, len(comps), blkCompLen)
 	for i, c := range comps {
 		rec := buf[protocol.BatchHeaderLen+blkCompLen*i:]
 		binary.LittleEndian.PutUint64(rec, c.Tag)
@@ -58,22 +59,23 @@ func EncodeBlkBatch(comps []CompRef) []byte {
 }
 
 // DecodeBlkBatch unmarshals batch bytes written by the (untrusted) driver
-// process. It never panics on arbitrary input; malformed batches return one
-// of the protocol batch errors.
-func DecodeBlkBatch(buf []byte) ([]CompRef, error) {
+// process into comps's storage (appending from comps[:0]). It never panics
+// on arbitrary input; malformed batches return one of the protocol batch
+// errors and comps[:0].
+func DecodeBlkBatch(buf []byte, comps []CompRef) ([]CompRef, error) {
+	comps = comps[:0]
 	count, err := protocol.BatchCount(buf, blkCompLen, MaxBlkBatch)
 	if err != nil {
-		return nil, err
+		return comps, err
 	}
-	comps := make([]CompRef, count)
-	for i := range comps {
+	for i := 0; i < count; i++ {
 		rec := buf[protocol.BatchHeaderLen+blkCompLen*i:]
-		comps[i] = CompRef{
+		comps = append(comps, CompRef{
 			Tag:    binary.LittleEndian.Uint64(rec),
 			Status: binary.LittleEndian.Uint16(rec[8:]),
 			IOVA:   binary.LittleEndian.Uint64(rec[10:]),
 			Len:    binary.LittleEndian.Uint32(rec[18:]),
-		}
+		})
 	}
 	return comps, nil
 }

@@ -103,7 +103,7 @@ type Proxy struct {
 
 	// tagSlot maps an in-flight tag to its global slot index so completion
 	// releases the right pool entry.
-	tagSlot map[uint64]int
+	tagSlot sim.TagTable[int]
 
 	// GuardMode selects the read-payload TOCTOU-guard strategy.
 	GuardMode int
@@ -111,6 +111,8 @@ type Proxy struct {
 	// Per-queue completion counters.
 	QueueComps   []uint64
 	QueueBatches []uint64
+	// comps is each queue's decode scratch for completion batches.
+	comps [][]CompRef
 
 	// Barrier accounting (per device epoch): barrierSeq numbers every
 	// flush upcall this incarnation issued, and inFlightFlush is the one
@@ -203,9 +205,9 @@ func newProxy(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, geo
 	q := c.NumQueues()
 	p := &Proxy{
 		K:            ki,
-		tagSlot:      make(map[uint64]int),
 		QueueComps:   make([]uint64, q),
 		QueueBatches: make([]uint64, q),
+		comps:        make([][]CompRef, q),
 	}
 	err := p.Init(ki.Acct, df, c, qchan.Config{
 		Class: "blkproxy", Pool: "blk", SlotsPerQueue: SlotsPerQueue, SlotSize: geom.BlockSize,
@@ -293,7 +295,7 @@ func (d *proxyDev) Submit(q int, req api.BlockRequest) error {
 	if req.FUA {
 		p.FUAIssued++
 	}
-	p.tagSlot[req.Tag] = p.Commit(q)
+	p.tagSlot.Put(req.Tag, p.Commit(q))
 	return nil
 }
 
@@ -358,11 +360,15 @@ func (p *Proxy) HandleDowncall(q int, m uchan.Msg) {
 		if p.queueStale(q, m.Args[0]) {
 			return
 		}
-		comps, err := DecodeBlkBatch(m.Data)
+		// The scratch leaves its queue while the batch completes, so a
+		// delivery nested inside a completion decodes into its own.
+		comps, err := DecodeBlkBatch(m.Data, p.comps[q])
+		p.comps[q] = nil
 		if err != nil {
 			// Malformed framing from the untrusted driver: dropped and
 			// counted, never dispatched (§3.1.1).
 			p.CompBadBatch++
+			p.comps[q] = comps
 			return
 		}
 		p.QueueBatches[q]++
@@ -372,6 +378,7 @@ func (p *Proxy) HandleDowncall(q int, m uchan.Msg) {
 				flipped++
 			}
 		}
+		p.comps[q] = comps
 		if flipped > 0 {
 			// One shootdown covers every page this batch revoked.
 			p.Shootdown()
@@ -408,10 +415,15 @@ func (p *Proxy) RearmQueue(q int) {
 	if q < 0 || q >= p.C.NumQueues() {
 		return
 	}
-	for tag, slot := range p.tagSlot {
-		if slot/SlotsPerQueue == q {
-			delete(p.tagSlot, tag)
+	var gone []uint64
+	p.tagSlot.Range(func(tag uint64, slot *int) bool {
+		if *slot/SlotsPerQueue == q {
+			gone = append(gone, tag)
 		}
+		return true
+	})
+	for _, tag := range gone {
+		p.tagSlot.Delete(tag)
 	}
 	if q == 0 && p.inFlightFlush != nil {
 		// Replay re-issues the flush under a fresh barrier sequence, and
@@ -440,7 +452,7 @@ func (p *Proxy) handleFlushDone(q int, m uchan.Msg) {
 		p.CompBadBarrier++
 		return
 	}
-	if outstanding := len(p.tagSlot); outstanding > 0 {
+	if outstanding := p.tagSlot.Len(); outstanding > 0 {
 		p.inFlightFlush = nil
 		p.CompBarrierEarly++
 		p.QueueComps[q]++
@@ -474,7 +486,7 @@ func (p *Proxy) complete(q int, c CompRef) bool {
 	// Tag validation comes first: a completion for a tag never issued is
 	// dropped before the kernel spends a block-sized guard copy on it —
 	// forged completions must not buy CPU with invalid handles.
-	if _, ok := p.tagSlot[c.Tag]; !ok {
+	if _, ok := p.tagSlot.Get(c.Tag); !ok {
 		p.CompBadTag++
 		return false
 	}
@@ -577,11 +589,10 @@ func (p *Proxy) finish(q int, tag uint64, status uint16, data []byte) {
 
 // releaseSlot returns tag's slot to its queue's pool.
 func (p *Proxy) releaseSlot(tag uint64) bool {
-	slot, ok := p.tagSlot[tag]
+	slot, ok := p.tagSlot.Delete(tag)
 	if !ok {
 		return false
 	}
-	delete(p.tagSlot, tag)
 	p.Release(slot)
 	return true
 }

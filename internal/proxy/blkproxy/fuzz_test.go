@@ -9,23 +9,31 @@ import (
 // The batch buffer is written by the untrusted driver process, so the
 // decoder must never panic and must reject anything that does not
 // round-trip exactly: counts out of range, truncated entries, trailing
-// slack.
+// slack. Decoding into a reused scratch, and encoding into a reused buffer,
+// must agree with the fresh results.
 func FuzzDecodeBlkBatch(f *testing.F) {
+	var scratch []CompRef
+	var enc []byte
 	f.Add([]byte{})
 	f.Add([]byte{0, 0})
 	f.Add([]byte{1, 0})
-	f.Add(EncodeBlkBatch([]CompRef{{Tag: 1, Status: 0, IOVA: 0x42430000, Len: 4096}}))
-	f.Add(EncodeBlkBatch([]CompRef{
+	f.Add(EncodeBlkBatch(nil, []CompRef{{Tag: 1, Status: 0, IOVA: 0x42430000, Len: 4096}}))
+	f.Add(EncodeBlkBatch(nil, []CompRef{
 		{Tag: 7, Status: 3},
 		{Tag: ^uint64(0), IOVA: ^uint64(0), Len: ^uint32(0)},
 	}))
 	// Page-flip shapes: a page-aligned full-block read (the flip fast
 	// path) and a deliberately misaligned one (must fall back to the
 	// guard copy).
-	f.Add(EncodeBlkBatch([]CompRef{{Tag: 2, IOVA: 0x43000000, Len: 4096}}))
-	f.Add(EncodeBlkBatch([]CompRef{{Tag: 3, IOVA: 0x43000200, Len: 4096}}))
+	f.Add(EncodeBlkBatch(nil, []CompRef{{Tag: 2, IOVA: 0x43000000, Len: 4096}}))
+	f.Add(EncodeBlkBatch(nil, []CompRef{{Tag: 3, IOVA: 0x43000200, Len: 4096}}))
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		comps, err := DecodeBlkBatch(buf)
+		comps, err := DecodeBlkBatch(buf, nil)
+		var serr error
+		scratch, serr = DecodeBlkBatch(buf, scratch)
+		if (err == nil) != (serr == nil) || len(scratch) != len(comps) {
+			t.Fatal("scratch decode disagrees with a fresh decode")
+		}
 		if err != nil {
 			return
 		}
@@ -34,7 +42,8 @@ func FuzzDecodeBlkBatch(f *testing.F) {
 		}
 		// Anything that decodes must re-encode to the identical bytes —
 		// the framing has no redundancy for an attacker to hide in.
-		if !bytes.Equal(EncodeBlkBatch(comps), buf) {
+		enc = EncodeBlkBatch(enc, scratch)
+		if !bytes.Equal(EncodeBlkBatch(nil, comps), buf) || !bytes.Equal(enc, buf) {
 			t.Fatalf("decode/encode mismatch")
 		}
 	})
@@ -46,7 +55,7 @@ func TestBlkBatchRoundTrip(t *testing.T) {
 		{Tag: 99, Status: 2},
 		{Tag: 1 << 40, IOVA: 1 << 50, Len: 7},
 	}
-	out, err := DecodeBlkBatch(EncodeBlkBatch(in))
+	out, err := DecodeBlkBatch(EncodeBlkBatch(nil, in), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +70,7 @@ func TestBlkBatchRoundTrip(t *testing.T) {
 }
 
 func TestBlkBatchRejectsMalformed(t *testing.T) {
-	good := EncodeBlkBatch([]CompRef{{Tag: 1, Len: 4096}})
+	good := EncodeBlkBatch(nil, []CompRef{{Tag: 1, Len: 4096}})
 	cases := map[string][]byte{
 		"short":     {1},
 		"zero":      {0, 0},
@@ -70,13 +79,13 @@ func TestBlkBatchRejectsMalformed(t *testing.T) {
 		"slack":     append(append([]byte{}, good...), 0xEE),
 	}
 	for name, buf := range cases {
-		if _, err := DecodeBlkBatch(buf); err == nil {
+		if _, err := DecodeBlkBatch(buf, nil); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
 	// Encode truncates at the bound instead of overflowing the count.
 	many := make([]CompRef, MaxBlkBatch+10)
-	if got, err := DecodeBlkBatch(EncodeBlkBatch(many)); err != nil || len(got) != MaxBlkBatch {
+	if got, err := DecodeBlkBatch(EncodeBlkBatch(nil, many), nil); err != nil || len(got) != MaxBlkBatch {
 		t.Fatalf("bound truncation: %d, %v", len(got), err)
 	}
 }

@@ -113,6 +113,8 @@ type Proxy struct {
 	// Per-queue RX partitions: frames and batches delivered per ring.
 	RxQueueFrames  []uint64
 	RxQueueBatches []uint64
+	// rxRefs is each queue's decode scratch for RX batches.
+	rxRefs [][]RxRef
 
 	// Security / robustness counters.
 	RxInvalidRef uint64 // shared-buffer references outside the driver's memory
@@ -177,7 +179,8 @@ func NewStandby(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, n
 // split evenly across the channel's queues.
 func newProxy(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan) (*Proxy, error) {
 	q := c.NumQueues()
-	p := &Proxy{K: ki, RxQueueFrames: make([]uint64, q), RxQueueBatches: make([]uint64, q)}
+	p := &Proxy{K: ki, RxQueueFrames: make([]uint64, q), RxQueueBatches: make([]uint64, q),
+		rxRefs: make([][]RxRef, q)}
 	err := p.Init(ki.Acct, df, c, qchan.Config{
 		Class: "ethproxy", Pool: "TX", SlotsPerQueue: TxSlots / q, SlotSize: TxSlotSize,
 		Ops: qchan.Ops{Open: OpOpen, Stop: OpStop, PageRecycle: OpPageRecycle, QueueEpoch: OpQueueEpoch,
@@ -298,21 +301,25 @@ func (p *Proxy) HandleDowncall(q int, m uchan.Msg) {
 		if p.queueStale(q) {
 			return
 		}
-		refs, err := DecodeRxBatch(m.Data)
-		if err != nil {
+		// The scratch leaves its queue while the batch is delivered, so
+		// a delivery nested inside this one decodes into its own.
+		refs, err := DecodeRxBatch(m.Data, p.rxRefs[q])
+		p.rxRefs[q] = nil
+		switch {
+		case err != nil:
 			// Malformed framing from the untrusted driver: dropped
 			// and counted, never dispatched (§3.1.1).
 			p.RxBadBatch++
-			return
-		}
-		p.RxQueueBatches[q]++
-		if p.GuardMode == GuardPageFlip {
+		case p.GuardMode == GuardPageFlip:
+			p.RxQueueBatches[q]++
 			p.netifRxBatchFlip(q, refs)
-			return
+		default:
+			p.RxQueueBatches[q]++
+			for _, r := range refs {
+				p.netifRx(q, mem.Addr(r.IOVA), int(r.Len))
+			}
 		}
-		for _, r := range refs {
-			p.netifRx(q, mem.Addr(r.IOVA), int(r.Len))
-		}
+		p.rxRefs[q] = refs
 	case OpXmitDone:
 		slot := int(m.Args[0])
 		sq, ok := p.Credit(slot)

@@ -40,12 +40,12 @@ func newRig(t *testing.T) *rig {
 	df := pciaccess.Open(k, nic, 1001, acct)
 	mc := uchan.NewMulti(m.Loop, k.Acct, []*sim.CPUAccount{acct})
 	r := &rig{m: m, k: k, df: df, mc: mc, c: mc.Queue(0)}
-	mc.SetDriverHandler(func(_ int, msg uchan.Msg) *uchan.Msg {
+	mc.SetDriverHandler(func(_ int, msg uchan.Msg) (uchan.Msg, bool) {
 		r.upcalls = append(r.upcalls, msg)
 		if r.reply != nil {
-			return r.reply(msg)
+			return *r.reply(msg), true
 		}
-		return &uchan.Msg{Seq: msg.Seq}
+		return uchan.Msg{Seq: msg.Seq}, true
 	})
 	ki := &KernelIface{Acct: k.Acct, Mem: m.Mem, Net: k.Net}
 	p, err := New(ki, df, mc, "eth0", mac)
@@ -175,12 +175,12 @@ func newRigQ(t *testing.T, queues int) *rig {
 	df := pciaccess.Open(k, nic, 1001, accts[0])
 	mc := uchan.NewMulti(m.Loop, k.Acct, accts)
 	r := &rig{m: m, k: k, df: df, mc: mc, c: mc.Queue(0)}
-	mc.SetDriverHandler(func(_ int, msg uchan.Msg) *uchan.Msg {
+	mc.SetDriverHandler(func(_ int, msg uchan.Msg) (uchan.Msg, bool) {
 		r.upcalls = append(r.upcalls, msg)
 		if r.reply != nil {
-			return r.reply(msg)
+			return *r.reply(msg), true
 		}
-		return &uchan.Msg{Seq: msg.Seq}
+		return uchan.Msg{Seq: msg.Seq}, true
 	})
 	ki := &KernelIface{Acct: k.Acct, Mem: m.Mem, Net: k.Net}
 	p, err := New(ki, df, mc, "eth0", mac)
@@ -208,7 +208,7 @@ func TestBatchedRxDelivery(t *testing.T) {
 	r.m.Mem.MustWrite(alloc.Phys, frame)
 	r.m.Mem.MustWrite(alloc.Phys+mem.Addr(2048), frame)
 
-	batch := EncodeRxBatch([]RxRef{
+	batch := EncodeRxBatch(nil, []RxRef{
 		{IOVA: uint64(alloc.IOVA), Len: uint32(len(frame))},
 		{IOVA: uint64(alloc.IOVA) + 2048, Len: uint32(len(frame))},
 	})
@@ -230,7 +230,7 @@ func TestBatchedRxDelivery(t *testing.T) {
 	}
 	// A poisoned reference inside a valid batch: the bad ref is counted,
 	// the good one still lands.
-	mixed := EncodeRxBatch([]RxRef{
+	mixed := EncodeRxBatch(nil, []RxRef{
 		{IOVA: uint64(hw.DRAMBase), Len: 64},
 		{IOVA: uint64(alloc.IOVA), Len: uint32(len(frame))},
 	})

@@ -37,13 +37,14 @@ type RxRef struct {
 	Len  uint32
 }
 
-// EncodeRxBatch marshals up to MaxRxBatch frame references into batch bytes.
-// Longer slices are truncated to MaxRxBatch (callers flush at the bound).
-func EncodeRxBatch(refs []RxRef) []byte {
+// EncodeRxBatch marshals up to MaxRxBatch frame references into batch bytes,
+// in buf's storage when it has room (protocol.NewBatch). Longer slices are
+// truncated to MaxRxBatch (callers flush at the bound).
+func EncodeRxBatch(buf []byte, refs []RxRef) []byte {
 	if len(refs) > MaxRxBatch {
 		refs = refs[:MaxRxBatch]
 	}
-	buf := protocol.NewBatch(len(refs), rxRefLen)
+	buf = protocol.NewBatch(buf, len(refs), rxRefLen)
 	for i, r := range refs {
 		rec := buf[protocol.BatchHeaderLen+rxRefLen*i:]
 		binary.LittleEndian.PutUint64(rec, r.IOVA)
@@ -53,17 +54,18 @@ func EncodeRxBatch(refs []RxRef) []byte {
 }
 
 // DecodeRxBatch unmarshals batch bytes written by the (untrusted) driver
-// process. It never panics on arbitrary input; malformed batches return one
-// of the protocol batch errors.
-func DecodeRxBatch(buf []byte) ([]RxRef, error) {
+// process into refs's storage (appending from refs[:0]). It never panics on
+// arbitrary input; malformed batches return one of the protocol batch
+// errors and refs[:0].
+func DecodeRxBatch(buf []byte, refs []RxRef) ([]RxRef, error) {
+	refs = refs[:0]
 	count, err := protocol.BatchCount(buf, rxRefLen, MaxRxBatch)
 	if err != nil {
-		return nil, err
+		return refs, err
 	}
-	refs := make([]RxRef, count)
-	for i := range refs {
+	for i := 0; i < count; i++ {
 		rec := buf[protocol.BatchHeaderLen+rxRefLen*i:]
-		refs[i] = RxRef{IOVA: binary.LittleEndian.Uint64(rec), Len: binary.LittleEndian.Uint32(rec[8:])}
+		refs = append(refs, RxRef{IOVA: binary.LittleEndian.Uint64(rec), Len: binary.LittleEndian.Uint32(rec[8:])})
 	}
 	return refs, nil
 }

@@ -22,9 +22,15 @@ var (
 	ErrBatchSlack = errors.New("protocol: batch has trailing bytes")
 )
 
-// NewBatch allocates a batch of count recLen-byte records, header filled in.
-func NewBatch(count, recLen int) []byte {
-	buf := make([]byte, BatchHeaderLen+recLen*count)
+// NewBatch lays out a batch of count recLen-byte records, header filled in,
+// in buf's storage (grown when too small), so a caller that passes back its
+// last batch reuses one buffer. The records are left for the caller to fill.
+func NewBatch(buf []byte, count, recLen int) []byte {
+	n := BatchHeaderLen + recLen*count
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
 	binary.LittleEndian.PutUint16(buf, uint16(count))
 	return buf
 }

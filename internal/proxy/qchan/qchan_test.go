@@ -56,9 +56,9 @@ func newRig(t *testing.T, queues int) *rig {
 	m.AttachDevice(nic)
 	accts := m.CPU.QueueAccounts("driver:test", queues)
 	r := &rig{m: m, k: k, df: pciaccess.Open(k, nic, 1001, accts[0]), mc: uchan.NewMulti(m.Loop, k.Acct, accts)}
-	r.mc.SetDriverHandler(func(_ int, msg uchan.Msg) *uchan.Msg {
+	r.mc.SetDriverHandler(func(_ int, msg uchan.Msg) (uchan.Msg, bool) {
 		r.upcalls = append(r.upcalls, msg)
-		return &uchan.Msg{Seq: msg.Seq}
+		return uchan.Msg{Seq: msg.Seq}, true
 	})
 	r.c = &qchan.Chassis{}
 	err := r.c.Init(k.Acct, r.df, r.mc, qchan.Config{Class: "test", Pool: "test", SlotsPerQueue: per, SlotSize: 2048,

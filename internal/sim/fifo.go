@@ -39,6 +39,15 @@ func (q *FIFO[T]) Pop() T {
 	return v
 }
 
+// Peek returns the value at the head without removing it. The queue must
+// not be empty.
+func (q *FIFO[T]) Peek() T {
+	if q.n == 0 {
+		panic("sim: Peek of an empty FIFO")
+	}
+	return q.ring[q.head]
+}
+
 // Reset empties the queue, keeping its ring.
 func (q *FIFO[T]) Reset() {
 	clear(q.ring)

@@ -156,7 +156,7 @@ func TestSUDBlockMalformedBatchDropped(t *testing.T) {
 	bad := [][]byte{
 		{},
 		{0xFF, 0xFF, 1, 2, 3},
-		append(blkproxy.EncodeBlkBatch([]blkproxy.CompRef{{Tag: 5}}), 0xAA),
+		append(blkproxy.EncodeBlkBatch(nil, []blkproxy.CompRef{{Tag: 5}}), 0xAA),
 	}
 	for _, b := range bad {
 		if err := w.proc.Chan.DownQ(1, uchan.Msg{Op: blkproxy.OpCompleteBatch, Data: b}); err != nil {

@@ -79,7 +79,10 @@ type Process struct {
 	ki         *ethproxy.KernelIface
 
 	// sliceAddrs maps handed-out DMA slice identities (pointer to first
-	// byte) to bus addresses, enabling zero-copy netif_rx.
+	// byte) to bus addresses, enabling zero-copy netif_rx. It is sized
+	// for its bound (maxSliceAddrs) up front: how often a growing map
+	// allocates depends on its random hash seed, and the steady state
+	// must not allocate at all.
 	sliceAddrs map[*byte]mem.Addr
 
 	// txHold and blkHold hold transmits and block submissions the
@@ -113,6 +116,11 @@ type Process struct {
 	// future traffic. Single-queue channels bypass batching entirely —
 	// the Figure 8 transport is unchanged.
 	rxBatch [][]ethproxy.RxRef
+
+	// batchBuf is each queue's encode scratch for the batches above; the
+	// ring copies a batch into its slot, so one buffer per queue serves
+	// every flush.
+	batchBuf [][]byte
 
 	// NoRxBatch disables RX batch framing (ablation): every received
 	// frame crosses the channel as its own OpNetifRx downcall, one
@@ -228,8 +236,9 @@ func newShellQ(k *kernel.Kernel, dev pci.Device, drv api.Driver, name string, ui
 		Acct:       acct,
 		QueueAccts: accts,
 		driver:     drv,
-		sliceAddrs: make(map[*byte]mem.Addr),
+		sliceAddrs: make(map[*byte]mem.Addr, maxSliceAddrs+1),
 		rxBatch:    make([][]ethproxy.RxRef, len(accts)),
+		batchBuf:   make([][]byte, len(accts)),
 		blkComp:    make([][]blkproxy.CompRef, len(accts)),
 		flushMeta:  make(map[uint64]blkproxy.FlushOp),
 		qep:        make([]uint64, len(accts)),
@@ -484,9 +493,9 @@ func (p *Process) routeDowncall(q int, m uchan.Msg) {
 
 // dispatch services one upcall in driver-process context; q is the ring the
 // message arrived on (its service thread runs the handler).
-func (p *Process) dispatch(q int, m uchan.Msg) *uchan.Msg {
+func (p *Process) dispatch(q int, m uchan.Msg) (uchan.Msg, bool) {
 	if p.killed {
-		return nil
+		return uchan.Msg{}, false
 	}
 	if m.Op >= protocol.WifiBase && m.Op < protocol.AudioBase && p.wifidev != nil {
 		return p.dispatchWifi(m)
@@ -500,7 +509,7 @@ func (p *Process) dispatch(q int, m uchan.Msg) *uchan.Msg {
 	switch m.Op {
 	case protocol.OpCtl:
 		if p.ctl == nil {
-			return &uchan.Msg{Seq: m.Seq, Args: [6]uint64{1}, Data: []byte("no ctl handler")}
+			return uchan.Msg{Seq: m.Seq, Args: [6]uint64{1}, Data: []byte("no ctl handler")}, true
 		}
 		p.Acct.Charge(sim.CostWorkerDispatch)
 		out, err := p.ctl.Ctl(uint32(m.Args[0]), m.Data)
@@ -508,15 +517,15 @@ func (p *Process) dispatch(q int, m uchan.Msg) *uchan.Msg {
 		if err == nil {
 			r.Data = out
 		}
-		return r
+		return r, true
 	case ethproxy.OpOpen:
 		// Open may block (the e1000e sleeps probing interrupt modes,
 		// §4.2), so the idle thread hands it to a worker.
 		p.Acct.Charge(sim.CostWorkerDispatch)
-		return replyErr(m, p.netdev.Open())
+		return replyErr(m, p.netdev.Open()), true
 	case ethproxy.OpStop:
 		p.Acct.Charge(sim.CostWorkerDispatch)
-		return replyErr(m, p.netdev.Stop())
+		return replyErr(m, p.netdev.Stop()), true
 	case ethproxy.OpIoctl:
 		p.Acct.Charge(sim.CostWorkerDispatch)
 		out, err := p.netdev.DoIoctl(uint32(m.Args[0]), m.Data)
@@ -524,17 +533,17 @@ func (p *Process) dispatch(q int, m uchan.Msg) *uchan.Msg {
 		if err == nil {
 			r.Data = out
 		}
-		return r
+		return r, true
 	case ethproxy.OpXmit:
 		p.K.M.Trace.Event(trace.ClassNetTx, q, m.Args[2], trace.HopUchanDeq)
 		p.txHold.handle(q, m)
-		return &uchan.Msg{Seq: m.Seq}
+		return ack(m, 0)
 	case ethproxy.OpPageRecycle:
 		p.handleRecycle(q, m, ethproxy.OpRecycleAck)
-		return &uchan.Msg{Seq: m.Seq}
+		return ack(m, 0)
 	case ethproxy.OpQueueEpoch:
 		p.handleQueueEpoch(m)
-		return &uchan.Msg{Seq: m.Seq}
+		return ack(m, 0)
 	case protocol.OpInterrupt:
 		if p.irqHandler != nil {
 			p.irqHandler()
@@ -559,81 +568,81 @@ func (p *Process) dispatch(q int, m uchan.Msg) *uchan.Msg {
 		// on the same drain that serviced the interrupt.
 		p.flushRxBatches()
 		p.flushBlkComps()
-		return &uchan.Msg{Seq: m.Seq}
+		return ack(m, 0)
 	default:
-		return &uchan.Msg{Seq: m.Seq, Args: [6]uint64{1}}
+		return ack(m, 1)
 	}
 }
 
 // dispatchWifi services wireless-class upcalls.
-func (p *Process) dispatchWifi(m uchan.Msg) *uchan.Msg {
+func (p *Process) dispatchWifi(m uchan.Msg) (uchan.Msg, bool) {
 	switch m.Op {
 	case wifiproxy.OpOpen:
 		p.Acct.Charge(sim.CostWorkerDispatch)
-		return replyErr(m, p.wifidev.Open())
+		return replyErr(m, p.wifidev.Open()), true
 	case wifiproxy.OpStop:
 		p.Acct.Charge(sim.CostWorkerDispatch)
-		return replyErr(m, p.wifidev.Stop())
+		return replyErr(m, p.wifidev.Stop()), true
 	case wifiproxy.OpScan:
 		if err := p.wifidev.StartScan(); err != nil {
 			p.K.Logf("[sud:%s] scan failed: %v", p.Name, err)
 		}
-		return &uchan.Msg{Seq: m.Seq}
+		return ack(m, 0)
 	case wifiproxy.OpAssoc:
 		if err := p.wifidev.Associate(string(m.Data)); err != nil {
 			// Report failure through the mirrored state path.
 			_ = p.Chan.Down(uchan.Msg{Op: wifiproxy.OpDisassociated})
 		}
-		return &uchan.Msg{Seq: m.Seq}
+		return ack(m, 0)
 	case wifiproxy.OpDisassoc:
 		_ = p.wifidev.Disassociate()
-		return &uchan.Msg{Seq: m.Seq}
+		return ack(m, 0)
 	case wifiproxy.OpXmit:
 		p.Acct.Charge(sim.Copy(len(m.Data)))
 		if err := p.wifidev.StartXmit(m.Data); err != nil {
 			p.XmitRingDrops++
 		}
-		return &uchan.Msg{Seq: m.Seq}
+		return ack(m, 0)
 	default:
-		return &uchan.Msg{Seq: m.Seq, Args: [6]uint64{1}}
+		return ack(m, 1)
 	}
 }
 
 // dispatchAudio services audio-class upcalls.
-func (p *Process) dispatchAudio(m uchan.Msg) *uchan.Msg {
+func (p *Process) dispatchAudio(m uchan.Msg) (uchan.Msg, bool) {
 	switch m.Op {
 	case audioproxy.OpPrepare:
 		p.Acct.Charge(sim.CostWorkerDispatch)
-		return replyErr(m, p.audiodev.PrepareStream(int(m.Args[0]), int(m.Args[1]), int(m.Args[2])))
+		return replyErr(m, p.audiodev.PrepareStream(int(m.Args[0]), int(m.Args[1]), int(m.Args[2]))), true
 	case audioproxy.OpWritePeriod:
 		p.Acct.Charge(sim.Copy(len(m.Data)))
 		if err := p.audiodev.WritePeriod(int(m.Args[0]), m.Data); err != nil {
 			p.K.Logf("[sud:%s] period write failed: %v", p.Name, err)
 		}
-		return &uchan.Msg{Seq: m.Seq}
+		return ack(m, 0)
 	case audioproxy.OpTrigger:
 		p.Acct.Charge(sim.CostWorkerDispatch)
-		return replyErr(m, p.audiodev.Trigger(m.Args[0] == 1))
+		return replyErr(m, p.audiodev.Trigger(m.Args[0] == 1)), true
 	case audioproxy.OpPointer:
 		pos, err := p.audiodev.Pointer()
 		r := replyErr(m, err)
 		r.Args[1] = uint64(pos)
-		return r
+		return r, true
 	default:
-		return &uchan.Msg{Seq: m.Seq, Args: [6]uint64{1}}
+		return ack(m, 1)
 	}
 }
 
 // dispatchBlock services block-class upcalls.
-func (p *Process) dispatchBlock(q int, m uchan.Msg) *uchan.Msg {
+func (p *Process) dispatchBlock(q int, m uchan.Msg) (uchan.Msg, bool) {
 	switch m.Op {
 	case blkproxy.OpOpen:
 		// Open may block (queue creation sleeps); hand it to a worker.
 		p.Acct.Charge(sim.CostWorkerDispatch)
-		return replyErr(m, p.blockdev.Open())
+		return replyErr(m, p.blockdev.Open()), true
 	case blkproxy.OpStop:
 		p.Acct.Charge(sim.CostWorkerDispatch)
-		return replyErr(m, p.blockdev.Stop())
+		return replyErr(m, p.blockdev.Stop()), true
 	case blkproxy.OpSubmit, blkproxy.OpFlush:
 		// Flush barriers ride the same hold-queue machinery as
 		// submissions, so a full hardware queue delays — never drops —
@@ -642,15 +651,15 @@ func (p *Process) dispatchBlock(q int, m uchan.Msg) *uchan.Msg {
 			p.K.M.Trace.Event(trace.ClassBlk, q, m.Args[5], trace.HopUchanDeq)
 		}
 		p.blkHold.handle(q, m)
-		return &uchan.Msg{Seq: m.Seq}
+		return ack(m, 0)
 	case blkproxy.OpPageRecycle:
 		p.handleRecycle(q, m, blkproxy.OpRecycleAck)
-		return &uchan.Msg{Seq: m.Seq}
+		return ack(m, 0)
 	case blkproxy.OpQueueEpoch:
 		p.handleQueueEpoch(m)
-		return &uchan.Msg{Seq: m.Seq}
+		return ack(m, 0)
 	default:
-		return &uchan.Msg{Seq: m.Seq, Args: [6]uint64{1}}
+		return ack(m, 1)
 	}
 }
 
@@ -709,8 +718,14 @@ func (p *Process) handleRecycle(q int, m uchan.Msg, ackOp uint32) {
 	}
 }
 
-func replyErr(m uchan.Msg, err error) *uchan.Msg {
-	r := &uchan.Msg{Seq: m.Seq}
+// ack is the reply to an upcall: status 0 (done) or 1 (not handled). Async
+// upcalls discard it, so it is a value, not an allocation.
+func ack(m uchan.Msg, status uint64) (uchan.Msg, bool) {
+	return uchan.Msg{Seq: m.Seq, Args: [6]uint64{status}}, true
+}
+
+func replyErr(m uchan.Msg, err error) uchan.Msg {
+	r := uchan.Msg{Seq: m.Seq}
 	if err != nil {
 		r.Args[0] = 1
 		r.Data = []byte(err.Error())
@@ -1215,12 +1230,10 @@ func (bk *umlBlockKernel) Complete(q int, tag uint64, err error, data []byte) {
 		// Slice identity lost (the payload is not a registered DMA
 		// view): bounce it inline on either transport — a zero
 		// reference in the batch framing would read as a write
-		// completion.
+		// completion. The ring copies it into its slot.
 		p.BouncedRx++
 		p.QueueAccts[q].Charge(sim.Copy(len(data)))
-		buf := make([]byte, len(data))
-		copy(buf, data)
-		_ = p.Chan.DownQ(q, uchan.Msg{Op: blkproxy.OpComplete, Data: buf,
+		_ = p.Chan.DownQ(q, uchan.Msg{Op: blkproxy.OpComplete, Data: data,
 			Args: [6]uint64{comp.Tag, uint64(comp.Status), 0, 0, p.qep[q]}})
 		return
 	}
@@ -1265,7 +1278,8 @@ func (p *Process) flushBlkCompQ(q int) {
 	if len(p.blkComp[q]) == 0 {
 		return
 	}
-	data := blkproxy.EncodeBlkBatch(p.blkComp[q])
+	data := blkproxy.EncodeBlkBatch(p.batchBuf[q], p.blkComp[q])
+	p.batchBuf[q] = data
 	p.blkComp[q] = p.blkComp[q][:0]
 	p.QueueAccts[q].Charge(sim.Copy(len(data)))
 	p.BlkBatches++
@@ -1319,9 +1333,7 @@ func (wk *umlWifiKernel) NetifRx(frame []byte) {
 		return
 	}
 	p.Acct.Charge(sim.CostUMLCall + sim.Copy(len(frame)))
-	buf := make([]byte, len(frame))
-	copy(buf, frame)
-	_ = p.Chan.Down(uchan.Msg{Op: wifiproxy.OpNetifRx, Data: buf})
+	_ = p.Chan.Down(uchan.Msg{Op: wifiproxy.OpNetifRx, Data: frame})
 }
 
 func (wk *umlWifiKernel) ScanDone(results []api.BSS) {
@@ -1390,6 +1402,11 @@ func (b *umlDMA) Write(off int, p []byte) error {
 	return b.p.K.M.Mem.Write(b.a.Phys+mem.Addr(off), p)
 }
 
+// maxSliceAddrs bounds the slice-identity table; past it the table is
+// cleared (a view handed out before then just bounces instead of going
+// zero-copy).
+const maxSliceAddrs = 8192
+
 func (b *umlDMA) Slice(off, n int) ([]byte, bool) {
 	if off < 0 || n <= 0 || off+n > b.size {
 		return nil, false
@@ -1403,7 +1420,7 @@ func (b *umlDMA) Slice(off, n int) ([]byte, bool) {
 	}
 	// Remember the view's identity so netif_rx can recover the bus
 	// address for the zero-copy downcall.
-	if len(b.p.sliceAddrs) > 8192 {
+	if len(b.p.sliceAddrs) > maxSliceAddrs {
 		clear(b.p.sliceAddrs) // keeps the table, so refilling it never regrows
 	}
 	b.p.sliceAddrs[&view[0]] = b.a.IOVA + mem.Addr(off)
@@ -1451,12 +1468,11 @@ func (nk *umlNetKernel) NetifRx(frame []byte, q int) {
 		_ = p.Chan.DownQ(q, uchan.Msg{Op: ethproxy.OpNetifRx, Args: [6]uint64{uint64(iova), uint64(len(frame))}})
 		return
 	}
-	// Fallback: bounce through an inline copy in the message.
+	// Fallback: bounce through an inline copy in the message (the ring
+	// copies it into its slot).
 	p.BouncedRx++
 	p.QueueAccts[q].Charge(sim.Copy(len(frame)))
-	buf := make([]byte, len(frame))
-	copy(buf, frame)
-	_ = p.Chan.DownQ(q, uchan.Msg{Op: ethproxy.OpNetifRx, Data: buf,
+	_ = p.Chan.DownQ(q, uchan.Msg{Op: ethproxy.OpNetifRx, Data: frame,
 		Args: [6]uint64{0, uint64(len(frame))}})
 }
 
@@ -1466,7 +1482,8 @@ func (p *Process) flushRxBatchQ(q int) {
 	if len(p.rxBatch[q]) == 0 {
 		return
 	}
-	data := ethproxy.EncodeRxBatch(p.rxBatch[q])
+	data := ethproxy.EncodeRxBatch(p.batchBuf[q], p.rxBatch[q])
+	p.batchBuf[q] = data
 	p.rxBatch[q] = p.rxBatch[q][:0]
 	p.QueueAccts[q].Charge(sim.Copy(len(data)))
 	p.RxBatches++

@@ -31,8 +31,9 @@ type echoPeer struct {
 	seen [][]byte
 }
 
+// LinkDeliver keeps a copy of each frame: the link lends it for the call only.
 func (p *echoPeer) LinkDeliver(frame []byte) {
-	p.seen = append(p.seen, frame)
+	p.seen = append(p.seen, append([]byte(nil), frame...))
 	eh, ipPkt, err := netstack.ParseEth(frame)
 	if err != nil || eh.EtherType != netstack.EtherTypeIPv4 {
 		return

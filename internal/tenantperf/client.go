@@ -62,6 +62,9 @@ type conn struct {
 	firstSent sim.Time
 	lastReq   []byte
 	rtoEv     sim.Event
+
+	// issueFn and rtoFn are the connection's timer callbacks, built once.
+	issueFn, rtoFn func()
 }
 
 // NewClient builds the tenant population for cfg; Start begins the load.
@@ -87,6 +90,8 @@ func NewClient(loop *sim.Loop, link *ethlink.Link, side int, cfg Config) *Client
 				key: []byte(fmt.Sprintf("t%d-c%d", t, i)),
 				val: make([]byte, 64),
 			}
+			cn.issueFn = cn.issue
+			cn.rtoFn = cn.retransmit
 			c.bySport[sport] = cn
 			tl.conns = append(tl.conns, cn)
 			sport++
@@ -103,8 +108,7 @@ func (c *Client) Start() {
 	i := 0
 	for _, tl := range c.Tenants {
 		for _, cn := range tl.conns {
-			cn := cn
-			c.loop.After(sim.Duration(i)*3*sim.Microsecond, cn.issue)
+			c.loop.After(sim.Duration(i)*3*sim.Microsecond, cn.issueFn)
 			i++
 		}
 	}
@@ -174,13 +178,16 @@ func (cn *conn) xmit() {
 		// Wire FIFO full: the RTO doubles as the retry pacer.
 		cn.t.SendErrs++
 	}
-	cn.rtoEv = cn.c.loop.After(cn.c.rto, func() {
-		if cn.c.stopped || cn.inflight == 0 {
-			return
-		}
-		cn.t.Retrans++
-		cn.xmit()
-	})
+	cn.rtoEv = cn.c.loop.After(cn.c.rto, cn.rtoFn)
+}
+
+// retransmit resends the outstanding request when its timer fires.
+func (cn *conn) retransmit() {
+	if cn.c.stopped || cn.inflight == 0 {
+		return
+	}
+	cn.t.Retrans++
+	cn.xmit()
 }
 
 // onReply accepts the reply for the outstanding request; anything else is a
@@ -197,5 +204,5 @@ func (cn *conn) onReply(resp kvserve.Response) {
 	cn.c.loop.Cancel(cn.rtoEv)
 	cn.t.Lat.Record(cn.c.loop.Now() - cn.firstSent)
 	cn.t.Replies++
-	cn.c.loop.After(cn.c.turnaround, cn.issue)
+	cn.c.loop.After(cn.c.turnaround, cn.issueFn)
 }

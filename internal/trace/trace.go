@@ -105,17 +105,16 @@ type Tracer struct {
 	events  []Event
 	dropped uint64
 
-	marks [numMarkClasses]map[uint64]sim.Time
+	// marks holds each class's stamps in a tag table: stamps come and go
+	// per frame, and a Go map's growth under that churn depends on its
+	// random hash seed, so it would allocate at random in steady state.
+	marks [numMarkClasses]sim.TagTable[sim.Time]
 }
 
 // New creates a tracer charging span-event costs to a dedicated "trace"
 // account on cpu. The span plane starts disabled.
 func New(loop *sim.Loop, cpu *sim.CPUStats) *Tracer {
-	t := &Tracer{loop: loop, acct: cpu.Account("trace")}
-	for c := range t.marks {
-		t.marks[c] = make(map[uint64]sim.Time)
-	}
-	return t
+	return &Tracer{loop: loop, acct: cpu.Account("trace")}
 }
 
 // Enable turns the span plane on: Event calls record and charge from now on.
@@ -185,7 +184,7 @@ func (t *Tracer) Mark(class MarkClass, q int, tag uint64) {
 		return
 	}
 	if k, ok := packMark(q, tag); ok {
-		t.marks[class][k] = t.loop.Now()
+		t.marks[class].Put(k, t.loop.Now())
 	}
 }
 
@@ -198,11 +197,7 @@ func (t *Tracer) TakeMark(class MarkClass, q int, tag uint64) (sim.Time, bool) {
 	if !ok {
 		return 0, false
 	}
-	at, ok := t.marks[class][k]
-	if ok {
-		delete(t.marks[class], k)
-	}
-	return at, ok
+	return t.marks[class].Delete(k)
 }
 
 // TakeLat pops the stamp and returns the virtual time elapsed since it was

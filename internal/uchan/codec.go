@@ -46,9 +46,12 @@ var (
 	ErrSlotPayload = errors.New("uchan: slot payload truncated")
 )
 
-// EncodeSlot marshals one message and its queue tag into ring-slot bytes.
-func EncodeSlot(queue int, m Msg) []byte {
-	buf := make([]byte, slotHeaderLen+len(m.Data))
+// AppendSlot appends the ring-slot bytes of one message and its queue tag
+// to dst and returns the extended slice; a dst with room allocates nothing.
+func AppendSlot(dst []byte, queue int, m Msg) []byte {
+	n := len(dst)
+	dst = append(dst, make([]byte, slotHeaderLen)...)
+	buf := dst[n:]
 	binary.LittleEndian.PutUint32(buf[0:4], m.Op)
 	binary.LittleEndian.PutUint32(buf[4:8], m.Seq)
 	binary.LittleEndian.PutUint16(buf[8:10], uint16(queue))
@@ -61,13 +64,15 @@ func EncodeSlot(queue int, m Msg) []byte {
 		binary.LittleEndian.PutUint64(buf[12+8*i:20+8*i], a)
 	}
 	binary.LittleEndian.PutUint32(buf[60:64], uint32(len(m.Data)))
-	copy(buf[slotHeaderLen:], m.Data)
-	return buf
+	return append(dst, m.Data...)
 }
 
 // DecodeSlot unmarshals ring-slot bytes written by the (untrusted) peer. It
-// never panics on arbitrary input; malformed slots return an error.
-func DecodeSlot(buf []byte) (queue int, m Msg, err error) {
+// never panics on arbitrary input; malformed slots return an error. The
+// payload is copied out of buf into land (grown when too small), so m.Data
+// shares land's storage and nothing the peer writes into buf afterwards
+// can change the decoded message.
+func DecodeSlot(buf, land []byte) (queue int, m Msg, err error) {
 	if len(buf) < slotHeaderLen {
 		return 0, Msg{}, ErrSlotShort
 	}
@@ -89,8 +94,7 @@ func DecodeSlot(buf []byte) (queue int, m Msg, err error) {
 		m.Args[i] = binary.LittleEndian.Uint64(buf[12+8*i : 20+8*i])
 	}
 	if dlen > 0 {
-		m.Data = make([]byte, dlen)
-		copy(m.Data, buf[slotHeaderLen:slotHeaderLen+int(dlen)])
+		m.Data = append(land[:0], buf[slotHeaderLen:slotHeaderLen+int(dlen)]...)
 	}
 	return queue, m, nil
 }

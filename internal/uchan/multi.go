@@ -24,7 +24,8 @@ import (
 //     interrupt wakes exactly as they do on a single-queue channel.
 //   - Downcall slots on multi-queue channels cross the ring in the byte
 //     framing of codec.go; the kernel side decodes them defensively, since
-//     the untrusted driver writes them into shared memory.
+//     the untrusted driver writes them into shared memory, and copies the
+//     payload into a kernel-owned landing buffer per ring before dispatch.
 //
 // A MultiChan over one queue is exactly a Chan: the urgent lane aliases the
 // single ring, no framing is applied, and every cost and counter matches the
@@ -32,6 +33,10 @@ import (
 type MultiChan struct {
 	queues []*Chan
 	urgent *Chan // aliases queues[0] when len(queues) == 1
+
+	// land holds each ring's kernel-side landing buffer: a decoded
+	// downcall's payload, borrowed by the kernel handler for the call.
+	land [][]byte
 
 	// BadSlots counts malformed downcall slots dropped by the kernel-side
 	// decoder (an untrusted driver scribbling on its rings).
@@ -45,7 +50,7 @@ func NewMulti(loop *sim.Loop, kern *sim.CPUAccount, drvAccts []*sim.CPUAccount) 
 	if len(drvAccts) < 1 || len(drvAccts) > MaxQueues {
 		panic(fmt.Sprintf("uchan: %d queues out of range [1,%d]", len(drvAccts), MaxQueues))
 	}
-	mc := &MultiChan{}
+	mc := &MultiChan{land: make([][]byte, len(drvAccts))}
 	for _, a := range drvAccts {
 		mc.queues = append(mc.queues, New(loop, kern, a))
 	}
@@ -82,14 +87,14 @@ func (mc *MultiChan) clamp(q int) int {
 // thread drains). On multi-queue channels, draining an interrupt-class
 // message also pokes sibling rings so their queued bulk messages ride the
 // interrupt wake.
-func (mc *MultiChan) SetDriverHandler(h func(q int, m Msg) *Msg) {
+func (mc *MultiChan) SetDriverHandler(h func(q int, m Msg) (Msg, bool)) {
 	for i, c := range mc.queues {
 		q := i
-		c.DriverHandler = func(m Msg) *Msg { return h(q, m) }
+		c.DriverHandler = func(m Msg) (Msg, bool) { return h(q, m) }
 	}
 	if mc.urgent != mc.queues[0] {
-		mc.urgent.DriverHandler = func(m Msg) *Msg {
-			r := h(0, m)
+		mc.urgent.DriverHandler = func(m Msg) (Msg, bool) {
+			r, ok := h(0, m)
 			// Interrupt service may have queued downcalls (IRQ ack,
 			// netif_rx, xmit completions) on any ring: deliver them now
 			// — on a single-queue channel the same drain that services
@@ -99,7 +104,7 @@ func (mc *MultiChan) SetDriverHandler(h func(q int, m Msg) *Msg) {
 				c.Flush()
 				c.Poke()
 			}
-			return r
+			return r, ok
 		}
 	}
 }
@@ -125,22 +130,32 @@ const opEncodedSlot = ^uint32(0)
 // SetKernelHandler installs the kernel-side downcall handler; q is the ring
 // the downcall arrived on. On multi-queue channels the ring carries raw
 // slot bytes the untrusted driver wrote; they are decoded here — at the
-// kernel-side dequeue — and malformed or queue-spoofed slots are dropped
-// and counted, never dispatched.
+// kernel-side dequeue, into the ring's landing buffer — and malformed or
+// queue-spoofed slots are dropped and counted, never dispatched. The
+// handler borrows m.Data for the call.
 func (mc *MultiChan) SetKernelHandler(h func(q int, m Msg)) {
 	for i, c := range mc.queues {
 		q := i
 		c.KernelHandler = func(m Msg) {
-			if m.Op == opEncodedSlot {
-				dq, dm, err := DecodeSlot(m.Data)
-				if err != nil || dq != q {
-					mc.BadSlots++
-					return
-				}
-				h(q, dm)
+			if m.Op != opEncodedSlot {
+				h(q, m)
 				return
 			}
-			h(q, m)
+			// The landing buffer leaves its ring for the call, so a
+			// delivery nested inside this handler decodes into a
+			// fresh one instead of overwriting this payload.
+			land := mc.land[q]
+			mc.land[q] = nil
+			dq, dm, err := DecodeSlot(m.Data, land)
+			if err != nil || dq != q {
+				mc.BadSlots++
+			} else {
+				if dm.Data != nil {
+					land = dm.Data // land's storage, or its larger successor
+				}
+				h(q, dm)
+			}
+			mc.land[q] = land[:0]
 		}
 	}
 	if mc.urgent != mc.queues[0] {
@@ -172,14 +187,16 @@ func (mc *MultiChan) Down(m Msg) error { return mc.DownQ(0, m) }
 
 // DownQ queues an asynchronous downcall on queue q's ring. On multi-queue
 // channels the slot crosses the ring in the codec.go byte framing — the
-// driver side writes bytes, and the kernel-side dequeue (SetKernelHandler)
-// decodes them defensively before dispatch.
+// driver side writes bytes into a recycled ring slot, and the kernel-side
+// dequeue (SetKernelHandler) decodes them defensively before dispatch.
+// Either way m.Data is copied, so the caller's buffer is free again when
+// DownQ returns.
 func (mc *MultiChan) DownQ(q int, m Msg) error {
 	q = mc.clamp(q)
 	if len(mc.queues) == 1 {
 		return mc.queues[0].Down(m)
 	}
-	return mc.queues[q].Down(Msg{Op: opEncodedSlot, Data: EncodeSlot(q, m)})
+	return mc.queues[q].downSlot(q, m)
 }
 
 // Flush delivers every queue's batched downcalls, one doorbell per
@@ -297,6 +314,3 @@ func (mc *MultiChan) QueueStats(q int) Stats { return mc.queues[mc.clamp(q)].Sta
 func (mc *MultiChan) QueueResidency(q int) (up, down trace.Hist) {
 	return mc.queues[mc.clamp(q)].Residency()
 }
-
-// UrgentStats returns the urgent lane's counters.
-func (mc *MultiChan) UrgentStats() Stats { return mc.urgent.Stats() }

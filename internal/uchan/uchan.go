@@ -145,10 +145,12 @@ type Chan struct {
 	drv  *sim.CPUAccount // driver process CPU
 
 	// DriverHandler services one upcall in driver-process context and
-	// returns a reply for synchronous messages. Set by SUD-UML.
-	DriverHandler func(Msg) *Msg
+	// returns the reply a synchronous message waits for; ok false means
+	// the process gave no reply. Set by SUD-UML.
+	DriverHandler func(Msg) (reply Msg, ok bool)
 	// KernelHandler services one downcall in kernel context. Set by the
-	// proxy driver.
+	// proxy driver. The message's Data is borrowed for the call: its
+	// buffer is the ring's, and is reused once the handler returns.
 	KernelHandler func(Msg)
 	// OnDrainEnd, if set, runs in driver-process context after each batch
 	// of upcalls is serviced, before the downcall flush. SUD-UML uses it
@@ -157,13 +159,21 @@ type Chan struct {
 	// flushed here, once per drain, instead of one MMIO write per op.
 	OnDrainEnd func()
 
-	k2u []Msg
-	u2k []Msg
+	// k2u and u2k are the two rings. u2kSpare is a drained ring the
+	// downcall flush swaps in, so the batch it delivers is the ring as it
+	// stood at flush time (see flushDown).
+	k2u, u2k, u2kSpare sim.FIFO[Msg]
+	// slots holds the buffers downcall Data crosses the ring in.
+	slots sim.BufPool
 
-	state     int
-	pollStart sim.Time
-	pollEvent sim.Event
-	wakeEvent sim.Event
+	state      int
+	pollStart  sim.Time
+	pollEvent  sim.Event
+	pollBudget sim.Duration // the pending polling window
+	wakeEvent  sim.Event
+
+	// The service loop's scheduled callbacks, bound once in New.
+	wakeFn, pollFn, lazyFn, drainFn func()
 
 	// Adaptive spin state: EWMA of drain-end→next-arrival gaps.
 	drainEnd sim.Time
@@ -207,7 +217,23 @@ type Chan struct {
 
 // New creates a channel between the kernel account and a driver account.
 func New(loop *sim.Loop, kern, drv *sim.CPUAccount) *Chan {
-	return &Chan{loop: loop, kern: kern, drv: drv, state: stateSleeping}
+	c := &Chan{loop: loop, kern: kern, drv: drv, state: stateSleeping}
+	c.wakeFn = func() {
+		c.drv.Charge(WakeCPUDriver)
+		c.drain()
+	}
+	c.pollFn = func() {
+		c.stats.SpinTimeouts++
+		c.drv.Charge(c.pollBudget)
+		c.state = stateSleeping
+	}
+	c.lazyFn = func() {
+		if !c.dead && !c.Hung && c.k2u.Len() > 0 {
+			c.scheduleService()
+		}
+	}
+	c.drainFn = c.drain
+	return c
 }
 
 // Stats returns transport counters.
@@ -218,13 +244,13 @@ func (c *Chan) Stats() Stats { return c.stats }
 func (c *Chan) Residency() (up, down trace.Hist) { return c.upRes, c.downRes }
 
 // Pending returns the number of queued upcalls (tests, hang detection).
-func (c *Chan) Pending() int { return len(c.k2u) }
+func (c *Chan) Pending() int { return c.k2u.Len() }
 
 // Kill marks the driver process dead: queues are dropped and all sends fail.
 func (c *Chan) Kill() {
 	c.dead = true
-	c.k2u = nil
-	c.u2k = nil
+	c.k2u.Reset()
+	c.u2k.Reset()
 	c.loop.Cancel(c.pollEvent)
 	c.loop.Cancel(c.wakeEvent)
 	c.loop.Cancel(c.lazyEvent)
@@ -238,7 +264,7 @@ func (c *Chan) Dead() bool { return c.dead }
 // queued on sibling rings ride an interrupt wake instead of waiting out the
 // lazy-doorbell window (§3.1.2 batching, generalised to N rings).
 func (c *Chan) Poke() {
-	if c.dead || c.Hung || len(c.k2u) == 0 {
+	if c.dead || c.Hung || c.k2u.Len() == 0 {
 		return
 	}
 	c.loop.Cancel(c.lazyEvent)
@@ -262,20 +288,18 @@ func (c *Chan) asend(m Msg, urgent bool) error {
 	if c.dead {
 		return ErrDead
 	}
-	if len(c.k2u) >= RingSlots {
+	if c.k2u.Len() >= RingSlots {
 		c.stats.DroppedFull++
 		return ErrRingFull
 	}
 	c.kern.Charge(sim.CostUchanEnqueue)
 	m.enqAt = c.loop.Now()
-	c.k2u = append(c.k2u, m)
+	// A hung driver's ring only fills: nothing it holds is urgent.
+	m.urgent = urgent && !c.Hung
+	c.k2u.Push(m)
 	c.stats.Upcalls++
 	if c.Hung {
 		return nil
-	}
-	if urgent {
-		m.urgent = true
-		c.k2u[len(c.k2u)-1].urgent = true
 	}
 	if urgent || c.state != stateSleeping {
 		c.scheduleService()
@@ -283,11 +307,7 @@ func (c *Chan) asend(m Msg, urgent bool) error {
 	}
 	// Sleeping driver, non-urgent message: defer the doorbell.
 	if c.lazyEvent.Cancelled() {
-		c.lazyEvent = c.loop.After(LazyDoorbell, func() {
-			if !c.dead && !c.Hung && len(c.k2u) > 0 {
-				c.scheduleService()
-			}
-		})
+		c.lazyEvent = c.loop.After(LazyDoorbell, c.lazyFn)
 	}
 	return nil
 }
@@ -321,9 +341,9 @@ func (c *Chan) Send(m Msg) (*Msg, error) {
 	if c.DriverHandler == nil {
 		return nil, ErrDead
 	}
-	reply := c.DriverHandler(m)
+	reply, ok := c.DriverHandler(m)
 	c.kern.Charge(sim.CostUchanDequeue)
-	if reply == nil {
+	if !ok {
 		return nil, ErrHung
 	}
 	if c.OnDrainEnd != nil {
@@ -332,10 +352,10 @@ func (c *Chan) Send(m Msg) (*Msg, error) {
 	c.flushDown()
 	// Async messages may have queued while the driver serviced the sync
 	// call; make sure they get drained.
-	if len(c.k2u) > 0 && !c.Hung {
+	if c.k2u.Len() > 0 && !c.Hung {
 		c.scheduleService()
 	}
-	return reply, nil
+	return &reply, nil
 }
 
 // scheduleService arranges for the driver process to drain its ring,
@@ -383,10 +403,7 @@ func (c *Chan) scheduleService() {
 		c.stats.Wakeups++
 		c.kern.Charge(WakeCPUKernel)
 		c.state = stateRunning
-		c.wakeEvent = c.loop.After(WakeLatency, func() {
-			c.drv.Charge(WakeCPUDriver)
-			c.drain()
-		})
+		c.wakeEvent = c.loop.After(WakeLatency, c.wakeFn)
 	case statePolling:
 		// The idle thread catches the message during its spin: charge
 		// the spin time actually used, no wake needed.
@@ -399,7 +416,7 @@ func (c *Chan) scheduleService() {
 		c.drv.Charge(spin)
 		c.loop.Cancel(c.pollEvent)
 		c.state = stateRunning
-		c.loop.After(0, c.drain)
+		c.loop.After(0, c.drainFn)
 	case stateRunning:
 		// Already draining; the message will be picked up.
 	}
@@ -413,9 +430,8 @@ func (c *Chan) drain() {
 	c.state = stateRunning
 	sawUrgent := false
 	for {
-		for len(c.k2u) > 0 && !c.Hung {
-			m := c.k2u[0]
-			c.k2u = c.k2u[1:]
+		for c.k2u.Len() > 0 && !c.Hung {
+			m := c.k2u.Pop()
 			c.upRes.Record(c.loop.Now() - m.enqAt)
 			c.drv.Charge(sim.CostUchanDequeue)
 			if m.urgent {
@@ -432,7 +448,7 @@ func (c *Chan) drain() {
 		// Downcall handling in the kernel may have queued fresh upcalls
 		// (e.g. netif_rx → TCP ACK → transmit); service them before
 		// going idle.
-		if len(c.k2u) == 0 || c.Hung || c.dead {
+		if c.k2u.Len() == 0 || c.Hung || c.dead {
 			break
 		}
 	}
@@ -445,17 +461,13 @@ func (c *Chan) drain() {
 	}
 	c.state = statePolling
 	c.pollStart = c.loop.Now()
-	budget := MinSpin
+	c.pollBudget = MinSpin
 	if sawUrgent {
 		// Device work often triggers prompt kernel follow-ups (the RR
 		// reply); poll longer after interrupt drains.
-		budget = c.spinBudget()
+		c.pollBudget = c.spinBudget()
 	}
-	c.pollEvent = c.loop.After(budget, func() {
-		c.stats.SpinTimeouts++
-		c.drv.Charge(budget)
-		c.state = stateSleeping
-	})
+	c.pollEvent = c.loop.After(c.pollBudget, c.pollFn)
 }
 
 // --- driver side ------------------------------------------------------------
@@ -463,47 +475,83 @@ func (c *Chan) drain() {
 // Down queues an asynchronous downcall (netif_rx, carrier change). Downcalls
 // batch: nothing reaches the kernel until flushDown, which the service loop
 // calls after draining upcalls — or which the SUD-UML runtime triggers
-// explicitly with Flush for driver-initiated work.
+// explicitly with Flush for driver-initiated work. m.Data is copied into a
+// ring slot, so the caller's buffer is free again when Down returns.
 func (c *Chan) Down(m Msg) error {
+	if err := c.downReady(); err != nil {
+		return err
+	}
+	if m.Data != nil {
+		buf := c.slots.Get(len(m.Data))
+		copy(buf, m.Data)
+		m.Data = buf
+	}
+	c.push(m)
+	return nil
+}
+
+// downSlot is Down for one ring of a multi-queue channel: m crosses in the
+// codec.go slot framing, tagged with queue q, encoded straight into a ring
+// slot.
+func (c *Chan) downSlot(q int, m Msg) error {
+	if err := c.downReady(); err != nil {
+		return err
+	}
+	slot := c.slots.Get(slotHeaderLen + len(m.Data))
+	c.push(Msg{Op: opEncodedSlot, Data: AppendSlot(slot[:0], q, m)})
+	return nil
+}
+
+func (c *Chan) downReady() error {
 	if c.dead {
 		return ErrDead
 	}
-	if len(c.u2k) >= RingSlots {
+	if c.u2k.Len() >= RingSlots {
 		c.stats.DroppedFull++
 		return ErrRingFull
 	}
+	return nil
+}
+
+func (c *Chan) push(m Msg) {
 	c.drv.Charge(sim.CostUchanEnqueue)
 	m.enqAt = c.loop.Now()
-	c.u2k = append(c.u2k, m)
+	c.u2k.Push(m)
 	c.stats.Downcalls++
 	if c.NoBatch {
 		c.flushDown()
 	}
-	return nil
 }
 
 // Flush delivers all queued downcalls to the kernel handler, costing one
 // doorbell for the whole batch.
 func (c *Chan) Flush() { c.flushDown() }
 
+// flushDown delivers the batch the ring holds at flush time. Downcalls the
+// handlers queue go to the next batch, and a Kill from inside a handler
+// drops the live ring but not the rest of this batch: the live ring swaps
+// with the drained spare, and the batch drains from a local copy.
 func (c *Chan) flushDown() {
-	if len(c.u2k) == 0 || c.dead {
+	if c.u2k.Len() == 0 || c.dead {
 		return
 	}
 	c.stats.Doorbells++
 	c.drv.Charge(sim.CostUchanDoorbell)
 	batch := c.u2k
-	c.u2k = nil
-	if uint64(len(batch)) > c.stats.MaxDownBatch {
-		c.stats.MaxDownBatch = uint64(len(batch))
+	c.u2k, c.u2kSpare = c.u2kSpare, sim.FIFO[Msg]{}
+	if n := uint64(batch.Len()); n > c.stats.MaxDownBatch {
+		c.stats.MaxDownBatch = n
 	}
-	for _, m := range batch {
+	for batch.Len() > 0 {
+		m := batch.Pop()
 		c.downRes.Record(c.loop.Now() - m.enqAt)
 		c.kern.Charge(sim.CostUchanDequeue)
 		if c.KernelHandler != nil {
 			c.KernelHandler(m)
 		}
+		c.slots.Put(m.Data)
 	}
+	c.u2kSpare = batch
 }
 
 // SDown performs a synchronous downcall: the driver needs the kernel's

@@ -27,13 +27,13 @@ func newFixture() *fixture {
 		replies: map[uint32]Msg{},
 	}
 	f.c = New(loop, f.kern, f.drv)
-	f.c.DriverHandler = func(m Msg) *Msg {
+	f.c.DriverHandler = func(m Msg) (Msg, bool) {
 		f.served = append(f.served, m)
 		if r, ok := f.replies[m.Op]; ok {
 			r.Seq = m.Seq
-			return &r
+			return r, true
 		}
-		return &Msg{Seq: m.Seq}
+		return Msg{Seq: m.Seq}, true
 	}
 	f.c.KernelHandler = func(m Msg) { f.down = append(f.down, m) }
 	return f
@@ -242,13 +242,13 @@ func TestRingFullBackpressure(t *testing.T) {
 func TestDowncallBatchingOneDoorbell(t *testing.T) {
 	f := newFixture()
 	// Driver queues 3 downcalls during one upcall service.
-	f.c.DriverHandler = func(m Msg) *Msg {
+	f.c.DriverHandler = func(m Msg) (Msg, bool) {
 		for i := 0; i < 3; i++ {
 			if err := f.c.Down(Msg{Op: 100 + uint32(i)}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return &Msg{Seq: m.Seq}
+		return Msg{Seq: m.Seq}, true
 	}
 	if err := f.c.ASend(Msg{Op: 1}); err != nil {
 		t.Fatal(err)
