@@ -88,16 +88,6 @@ type Air struct {
 	APs []*AP
 }
 
-// FindAP returns the AP broadcasting ssid.
-func (a *Air) FindAP(ssid string) *AP {
-	for _, ap := range a.APs {
-		if ap.SSID == ssid {
-			return ap
-		}
-	}
-	return nil
-}
-
 // NIC is the 802.11 adapter.
 type NIC struct {
 	pci.FuncBase

@@ -54,9 +54,8 @@ func newSupervisedTestbed(queues int, flip bool, plat hw.Platform) (*Testbed, er
 		return nil, err
 	}
 	if flip {
-		// Generation 0 was probed before this knob existed on the
-		// supervisor; later incarnations inherit it from BlkGuard.
-		sup.BlkGuard = blkproxy.GuardPageFlip
+		// Later incarnations and armed standbys inherit the guard mode
+		// from the proxy they replace.
 		sup.Proc().Blk.GuardMode = blkproxy.GuardPageFlip
 	}
 	tb := &Testbed{Mode: ModeSUD, Queues: queues, Flip: flip, M: m, K: k, Ctrl: ctrl,

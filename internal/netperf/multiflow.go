@@ -16,8 +16,8 @@ import (
 	"sud/internal/pci"
 	"sud/internal/proxy/ethproxy"
 	"sud/internal/sim"
-	"sud/internal/trace"
 	"sud/internal/sudml"
+	"sud/internal/trace"
 )
 
 // Multi-flow scale scenario: K concurrent 64-byte UDP flows spread across Q
@@ -287,12 +287,6 @@ func (r MultiFlowResult) String() string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// MultiFlow runs K concurrent 64-byte UDP transmit flows (DirTX) — see
-// MultiFlowDir.
-func MultiFlow(tb *MultiFlowTestbed, flows int, opt Options) (MultiFlowResult, error) {
-	return MultiFlowDir(tb, flows, DirTX, opt)
 }
 
 // MultiFlowDir runs K concurrent 64-byte UDP flows in the given direction

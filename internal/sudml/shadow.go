@@ -5,7 +5,6 @@ import (
 
 	"sud/internal/drivers/api"
 	"sud/internal/kernel"
-	"sud/internal/kernel/shadow"
 	"sud/internal/pci"
 	"sud/internal/sim"
 	"sud/internal/sudml/policy"
@@ -78,13 +77,9 @@ type Supervisor struct {
 	// OnRestart, if set, runs after each successful recovery.
 	OnRestart func(generation int)
 
-	// BlkGuard is the guard mode (blkproxy.GuardCopy / GuardPageFlip)
-	// applied to every incarnation's block proxy — including respawns and
-	// armed standbys. A page-aware driver (nvmed.NewFlipQ) must always
-	// face a GuardPageFlip proxy, or the restarted incarnation would defer
-	// descriptor re-arm to a recycle lane that never runs.
-	BlkGuard int
-
+	// obj names the supervised kernel object (interface or block device);
+	// every incarnation's class record must bind it.
+	obj         string
 	proc        *Process
 	standby     *Process // pre-spawned hot-standby shell (nil = disarmed)
 	stopped     bool
@@ -113,46 +108,37 @@ type Supervisor struct {
 	// incarnations' proxies (evidence for the policy plane).
 	staleHarvest uint64
 
-	// ifName / blkName select the device class under supervision (either
-	// or both may be set); they name the kernel object to recover.
-	ifName  string
-	blkName string
-
-	// NetShadow / BlkShadow are the recovery-state mirrors attached to the
-	// supervised kernel objects (internal/kernel/shadow).
-	NetShadow *shadow.Net
-	BlkShadow *shadow.Block
-
 	// LastReplayed is the number of logged block requests re-submitted by
 	// the most recent recovery; LastRecoveryAt is when it finished.
 	LastReplayed   int
 	LastRecoveryAt sim.Time
 }
 
-// Supervise starts a netdev-class driver process under supervision,
-// single-queue. Pass the interface name so its configuration can be
-// shadowed and replayed.
-func Supervise(k *kernel.Kernel, dev pci.Device, drv api.Driver, name, ifName string, uid int) (*Supervisor, error) {
-	return supervise(k, dev, drv, name, ifName, "", uid, 1)
+// Supervise starts a single-queue netdev-class driver process under
+// supervision of the interface it registers, iface.
+func Supervise(k *kernel.Kernel, dev pci.Device, drv api.Driver, name, iface string, uid int) (*Supervisor, error) {
+	return supervise(k, dev, drv, name, iface, uid, 1)
 }
 
 // SuperviseNetQ starts a netdev-class driver process under supervision with
 // `queues` uchan ring pairs — the multi-queue net analogue of SuperviseBlock.
 // The tenant plane uses it so the NIC queue carrying one tenant's flows can
 // be revoked, parked and surgically recovered without touching siblings.
-func SuperviseNetQ(k *kernel.Kernel, dev pci.Device, drv api.Driver, name, ifName string, uid, queues int) (*Supervisor, error) {
-	return supervise(k, dev, drv, name, ifName, "", uid, queues)
+func SuperviseNetQ(k *kernel.Kernel, dev pci.Device, drv api.Driver, name, iface string, uid, queues int) (*Supervisor, error) {
+	return supervise(k, dev, drv, name, iface, uid, queues)
 }
 
 // SuperviseBlock starts a block-class driver process under supervision with
-// `queues` uchan ring pairs. blkName is the block device the driver
+// `queues` uchan ring pairs. disk is the block device the driver
 // registers (e.g. "nvme0"); its geometry and in-flight request log are
 // shadowed so a kill is invisible to ReadAt/WriteAt callers.
-func SuperviseBlock(k *kernel.Kernel, dev pci.Device, drv api.Driver, name, blkName string, uid, queues int) (*Supervisor, error) {
-	return supervise(k, dev, drv, name, "", blkName, uid, queues)
+func SuperviseBlock(k *kernel.Kernel, dev pci.Device, drv api.Driver, name, disk string, uid, queues int) (*Supervisor, error) {
+	return supervise(k, dev, drv, name, disk, uid, queues)
 }
 
-func supervise(k *kernel.Kernel, dev pci.Device, drv api.Driver, name, ifName, blkName string, uid, queues int) (*Supervisor, error) {
+// supervise starts the driver and watches the kernel object obj it
+// registers, whatever its class, through the process's class record.
+func supervise(k *kernel.Kernel, dev pci.Device, drv api.Driver, name, obj string, uid, queues int) (*Supervisor, error) {
 	if queues < 1 {
 		queues = 1
 	}
@@ -162,15 +148,16 @@ func supervise(k *kernel.Kernel, dev pci.Device, drv api.Driver, name, ifName, b
 		BacklogLimit: 64,
 		MaxRestarts:  8,
 		Policy:       policy.NewEngine(policy.DefaultConfig()),
-		ifName:       ifName,
-		blkName:      blkName,
+		obj:          obj,
 		Flight:       trace.NewFlight(k.M.Loop, trace.FlightSize),
 	}
 	s.Policy.Flight = s.Flight
 	if err := s.start(0); err != nil {
 		return nil, err
 	}
-	s.attachShadows()
+	// The kernel object survives restarts (adoption), so its recovery
+	// recording is armed once.
+	s.proc.cls.attach(s.Flight)
 	s.schedule()
 	return s, nil
 }
@@ -185,25 +172,6 @@ func (s *Supervisor) baselineQueueFaults() {
 	}
 }
 
-// attachShadows arms recovery recording on the supervised kernel objects.
-// The kernel objects survive restarts (adoption), so this runs once.
-func (s *Supervisor) attachShadows() {
-	if s.ifName != "" {
-		if ifc, err := s.K.Net.Iface(s.ifName); err == nil {
-			s.NetShadow = &shadow.Net{}
-			ifc.Shadow = s.NetShadow
-			ifc.Flight = s.Flight
-		}
-	}
-	if s.blkName != "" {
-		if d, err := s.K.Blk.Dev(s.blkName); err == nil {
-			s.BlkShadow = shadow.NewBlock(d.Geom)
-			d.AttachShadow(s.BlkShadow)
-			d.Flight = s.Flight
-		}
-	}
-}
-
 func (s *Supervisor) start(gen int) error {
 	name := s.Name
 	if gen > 0 {
@@ -213,20 +181,32 @@ func (s *Supervisor) start(gen int) error {
 	if err != nil {
 		return err
 	}
-	if proc.Blk != nil {
-		proc.Blk.GuardMode = s.BlkGuard
+	if c := proc.cls; c == nil || c.name != s.obj || c.beginRecovery == nil {
+		proc.Kill()
+		return fmt.Errorf("sudml: %s did not register recoverable %s", name, s.obj)
 	}
 	proc.Flight = s.Flight
-	proc.Recoverable = true
-	proc.OnDeath = s.onDeath
-	s.proc = proc
+	s.takeOver(proc)
+	return nil
+}
+
+// takeOver makes p the supervised incarnation. Its proxy inherits the guard
+// mode of the one it replaces: a page-aware driver must keep facing a
+// page-flip proxy, or it would defer descriptor re-arm to a recycle lane
+// that never runs.
+func (s *Supervisor) takeOver(p *Process) {
+	if old := s.proc; old != nil {
+		*p.cls.guard = *old.cls.guard
+	}
+	p.Recoverable = true
+	p.OnDeath = s.onDeath
+	s.proc = p
 	s.lastBad = false
 	s.lastServedQ = nil
 	// Faults raised while the previous incarnation was dying (in-flight DMA
 	// after the kill) belong to that incarnation; rebase the surgical
 	// watermarks so they are not charged to the fresh process.
 	s.baselineQueueFaults()
-	return nil
 }
 
 // Proc returns the currently supervised process.
@@ -254,33 +234,11 @@ func (s *Supervisor) ArmStandby() error {
 		return err
 	}
 	sb.Flight = s.Flight
-	if s.blkName != "" {
-		d, err := s.K.Blk.Dev(s.blkName)
-		if err != nil {
-			sb.Kill()
-			return err
-		}
-		if err := sb.ArmBlockStandby(s.blkName, d.Geom); err != nil {
-			sb.Kill()
-			return err
-		}
-		if sb.Blk != nil {
-			sb.Blk.GuardMode = s.BlkGuard
-		}
+	if err := s.proc.cls.arm(sb); err != nil {
+		sb.Kill()
+		return err
 	}
-	if s.ifName != "" {
-		ifc, err := s.K.Net.Iface(s.ifName)
-		if err != nil {
-			s.disarmKernelStandby()
-			sb.Kill()
-			return err
-		}
-		if err := sb.ArmNetStandby(s.ifName, ifc.MAC); err != nil {
-			s.disarmKernelStandby()
-			sb.Kill()
-			return err
-		}
-	}
+	*sb.cls.guard = *s.proc.cls.guard
 	s.standby = sb
 	return nil
 }
@@ -291,20 +249,9 @@ func (s *Supervisor) DisarmStandby() {
 	if s.standby == nil {
 		return
 	}
-	s.disarmKernelStandby()
+	s.proc.cls.unregisterStandby(s.obj)
 	s.standby.Kill()
 	s.standby = nil
-}
-
-// disarmKernelStandby clears the kernel-side standby tables for the
-// supervised objects (safe when nothing is registered).
-func (s *Supervisor) disarmKernelStandby() {
-	if s.blkName != "" {
-		s.K.Blk.UnregisterStandby(s.blkName)
-	}
-	if s.ifName != "" {
-		s.K.Net.UnregisterStandby(s.ifName)
-	}
 }
 
 // Stop ends supervision (the process keeps running; an armed standby shell
@@ -345,65 +292,42 @@ func (s *Supervisor) check() {
 	if s.stopped || s.proc == nil {
 		return
 	}
-	if s.proc.Killed() {
+	switch {
+	case s.proc.Killed():
 		// Death is normally handled by onDeath; this is the fallback for a
 		// process that died without the hook firing (and the path that
 		// re-grades a death during backoff pacing — decide() dedups).
 		s.decide("died")
-		if s.stopped {
-			return
-		}
-		s.schedule()
-		return
-	}
-	if s.observeEvidence() {
+	case s.observeEvidence():
 		// The evidence convicted the driver outright: kill it and let the
 		// grading (now latched at quarantine) run the give-up path.
 		s.K.Logf("supervisor: %s convicted: %s", s.Name, s.Policy.Reason())
 		s.decide("convicted")
-		if s.stopped {
-			return
-		}
-		s.schedule()
-		return
-	}
-	if s.checkQueueFaults() {
+	case s.checkQueueFaults():
 		// A surgical recovery ran (or escalated to quarantine) this check.
-		if s.stopped {
-			return
+	default:
+		bad := s.unhealthy()
+		if bad && s.lastBad {
+			s.lastBad = false
+			s.decide("wedged")
+		} else {
+			s.lastBad = bad
 		}
+	}
+	if !s.stopped {
 		s.schedule()
-		return
 	}
-	bad := s.unhealthy()
-	if bad && s.lastBad {
-		s.lastBad = false
-		s.decide("wedged")
-		if s.stopped {
-			return
-		}
-	} else {
-		s.lastBad = bad
-	}
-	s.schedule()
 }
 
 // observeEvidence assembles the misbehaviour counters from the proxies,
 // the confinement layer and the device ground truth into one policy
 // snapshot. It reports whether the snapshot convicted the driver.
 func (s *Supervisor) observeEvidence() bool {
-	ev := policy.Evidence{StaleEpoch: s.staleHarvest}
-	if p := s.proc; p != nil {
-		if p.Blk != nil {
-			ev.BarrierViolations = p.Blk.BarrierViolations()
-			ev.FlushesAcked = p.Blk.FlushesAcked
-		}
-		for _, qp := range p.queueProxies() {
-			ev.StaleEpoch += qp.StaleEpochDowncalls()
-		}
-		if p.DF != nil {
-			ev.StormTrips = p.DF.StormResponses
-		}
+	p := s.proc
+	ev := policy.Evidence{StaleEpoch: s.staleHarvest + p.cls.qp.StaleEpochDowncalls(), StormTrips: p.DF.StormResponses}
+	if p.Blk != nil {
+		ev.BarrierViolations = p.Blk.BarrierViolations()
+		ev.FlushesAcked = p.Blk.FlushesAcked
 	}
 	// Device ground truth, when the supervised device exports it: barriers
 	// the proxy saw acked versus flushes the device says it executed.
@@ -432,10 +356,7 @@ func (s *Supervisor) unhealthy() bool {
 		}
 		return false
 	}
-	limit := s.BacklogLimit / nq
-	if limit < 8 {
-		limit = 8
-	}
+	limit := max(s.BacklogLimit/nq, 8)
 	wedged := false
 	for q := 0; q < nq; q++ {
 		served := s.proc.Chan.QueueStats(q).Served()
@@ -447,15 +368,8 @@ func (s *Supervisor) unhealthy() bool {
 	if wedged {
 		return true
 	}
-	// Active probe for netdev drivers: the interruptible sync ioctl.
-	if s.ifName != "" {
-		if ifc, err := s.K.Net.Iface(s.ifName); err == nil && ifc.IsUp() && !ifc.Recovering() {
-			if _, err := ifc.Ioctl(api.IoctlGetMIIStatus, nil); err != nil {
-				return true
-			}
-		}
-	}
-	return false
+	// The class's active probe, if it has one (netdev: the MII ioctl).
+	return s.proc.cls.probe != nil && s.proc.cls.probe()
 }
 
 // checkQueueFaults scans the per-queue IOMMU sub-domain fault counters
@@ -473,19 +387,13 @@ func (s *Supervisor) checkQueueFaults() bool {
 		return false
 	}
 	acted := false
-	for q := 0; q < s.Queues; q++ {
-		n := s.K.M.IOMMU.StreamFaults(bdf, q+1)
-		if n > s.lastStreamFaults[q] {
-			delta := n - s.lastStreamFaults[q]
-			s.lastStreamFaults[q] = n
-			s.surgical(q, delta)
-			acted = true
-			if s.stopped {
-				return true
-			}
-			continue
-		}
+	for q := 0; q < s.Queues && !s.stopped; q++ {
+		n, last := s.K.M.IOMMU.StreamFaults(bdf, q+1), s.lastStreamFaults[q]
 		s.lastStreamFaults[q] = n
+		if n > last {
+			s.surgical(q, n-last)
+			acted = true
+		}
 	}
 	return acted
 }
@@ -507,12 +415,9 @@ func (s *Supervisor) surgical(q int, faults uint64) {
 	}
 	// Park: proxy first (advisory epoch frame to the runtime), then the
 	// kernel object (epoch bump + drain watermark, records FPark).
-	for _, qp := range s.proc.queueProxies() {
-		qp.ParkQueue(q)
-	}
-	for _, rd := range s.recoverables() {
-		rd.BeginQueueRecovery(q)
-	}
+	c := s.proc.cls
+	c.qp.ParkQueue(q)
+	c.rd.BeginQueueRecovery(q)
 	// Verdict: grade the offense. Repeat offenders escalate to the
 	// device-wide quarantine path.
 	d := s.Policy.OnQueueFault(s.K.M.Now(), q, cause)
@@ -529,40 +434,15 @@ func (s *Supervisor) surgical(q int, faults uint64) {
 	if err := s.proc.DF.RearmQueueDMA(q + 1); err != nil {
 		s.K.Logf("supervisor: %s q%d DMA re-arm failed: %v", s.Name, q, err)
 	}
-	for _, qp := range s.proc.queueProxies() {
-		qp.RearmQueue(q)
+	c.qp.RearmQueue(q)
+	n, rerr := c.rd.CompleteQueueRecovery(q)
+	if rerr != nil {
+		n = 0
+		s.K.Logf("supervisor: %s q%d recovery failed: %v", s.Name, q, rerr)
 	}
-	replayed := 0
-	for _, rd := range s.recoverables() {
-		if n, rerr := rd.CompleteQueueRecovery(q); rerr != nil {
-			s.K.Logf("supervisor: %s q%d recovery failed: %v", s.Name, q, rerr)
-		} else {
-			replayed += n
-		}
-	}
-	s.LastReplayed = replayed
+	s.LastReplayed = n
 	s.QueueRecoveries++
 	s.LastRecoveryAt = s.K.M.Now()
-}
-
-// recoverables returns the supervised kernel-side device objects behind the
-// unified api.RecoverableDevice contract — whichever of the block device and
-// the network interface this supervisor watches. The class-specific legs
-// (proxy park/re-arm, adoption binding, quarantine) stay per class; the
-// epoch/park/replay protocol itself is driven through this one surface.
-func (s *Supervisor) recoverables() []api.RecoverableDevice {
-	var out []api.RecoverableDevice
-	if s.blkName != "" {
-		if d, err := s.K.Blk.Dev(s.blkName); err == nil {
-			out = append(out, d)
-		}
-	}
-	if s.ifName != "" {
-		if ifc, err := s.K.Net.Iface(s.ifName); err == nil {
-			out = append(out, ifc)
-		}
-	}
-	return out
 }
 
 // decide grades one detection through the policy engine and executes the
@@ -605,11 +485,10 @@ func (s *Supervisor) decide(cause string) {
 
 // recover kills the wedged (or buries the dead) process and brings up a
 // fresh one against the same device model: the kill routes the supervised
-// devices into shadow recovery (Recoverable), the fresh probe adopts them,
-// and CompleteRecovery replays bring-up and the pending request log. The
-// respawn takes startupCost of wall-clock time — booting the UML
-// environment is real work — during which the devices stay parked; this is
-// exactly the window a hot standby (ArmStandby) pre-pays.
+// object into shadow recovery (Recoverable), the fresh probe adopts it, and
+// CompleteRecovery replays bring-up and the pending work. The respawn takes
+// startupCost of virtual time (booting the UML environment) while the
+// object stays parked: the window a hot standby (ArmStandby) pre-pays.
 func (s *Supervisor) recover() {
 	if s.stopped || s.proc == nil || s.recovering {
 		return
@@ -618,7 +497,7 @@ func (s *Supervisor) recover() {
 	s.Restarts++
 	s.Policy.RecordRestart(s.K.M.Now())
 	s.K.Logf("supervisor: %s down; restarting (generation %d)", s.Name, s.Restarts)
-	s.harvestStale(s.proc)
+	s.harvestStale()
 	s.proc.Kill() // no-op if already dead; devices enter recovery either way
 	gen := s.Restarts
 	s.K.M.Loop.After(startupCost, func() {
@@ -654,29 +533,11 @@ func (s *Supervisor) failover() bool {
 	}
 	s.recovering = true
 	defer func() { s.recovering = false }()
-	s.harvestStale(s.proc)
+	s.harvestStale()
 	s.proc.Kill() // no-op if already dead; parks the devices, bumps the epoch
 	s.Flight.Recordf(trace.FPromote, "promoting hot standby %s", sb.Name)
-	promoted := false
-	if s.blkName != "" {
-		d, err := s.K.Blk.PromoteStandby(s.blkName)
-		if err != nil {
-			s.K.Logf("supervisor: block failover of %s failed: %v", s.blkName, err)
-		} else {
-			sb.Blk.Bind(d)
-			promoted = true
-		}
-	}
-	if s.ifName != "" {
-		ifc, err := s.K.Net.PromoteStandby(s.ifName)
-		if err != nil {
-			s.K.Logf("supervisor: net failover of %s failed: %v", s.ifName, err)
-		} else {
-			sb.Eth.Bind(ifc)
-			promoted = true
-		}
-	}
-	if !promoted {
+	if err := sb.cls.promote(s.obj); err != nil {
+		s.K.Logf("supervisor: failover of %s failed: %v", s.obj, err)
 		return false
 	}
 	s.Restarts++
@@ -685,12 +546,7 @@ func (s *Supervisor) failover() bool {
 	s.K.Logf("supervisor: %s down; promoting hot standby %s (generation %d)",
 		s.Name, sb.Name, s.Restarts)
 	s.standby = nil
-	s.proc = sb
-	s.lastBad = false
-	s.lastServedQ = nil
-	s.baselineQueueFaults()
-	sb.Recoverable = true
-	sb.OnDeath = s.onDeath
+	s.takeOver(sb)
 	if err := sb.ActivateDriver(); err != nil {
 		// The standby could not bring up the orphaned hardware: kill it,
 		// which re-parks the device (BeginRecovery) and routes the next
@@ -708,21 +564,18 @@ func (s *Supervisor) failover() bool {
 	return true
 }
 
-// completeRecovery replays bring-up and the block request log into the
-// adopted (or promoted) incarnation; parked work drains behind it. A
-// failure means the new incarnation is broken too — kill it, which
-// re-enters recovery bounded by the policy window.
+// completeRecovery replays bring-up and logged work into the adopted (or
+// promoted) incarnation. A failure means the new incarnation is broken too:
+// kill it, which re-enters recovery bounded by the policy window.
 func (s *Supervisor) completeRecovery() {
-	s.LastReplayed = 0
-	for _, rd := range s.recoverables() {
-		n, rerr := rd.CompleteRecovery()
-		if rerr != nil {
-			s.K.Logf("supervisor: recovery of %s failed: %v", s.Name, rerr)
-			s.proc.Kill()
-			return
-		}
-		s.LastReplayed += n
+	n, rerr := s.proc.cls.rd.CompleteRecovery()
+	if rerr != nil {
+		s.LastReplayed = 0
+		s.K.Logf("supervisor: recovery of %s failed: %v", s.Name, rerr)
+		s.proc.Kill()
+		return
 	}
+	s.LastReplayed = n
 	s.LastRecoveryAt = s.K.M.Now()
 	if s.OnRestart != nil {
 		s.OnRestart(s.Restarts)
@@ -732,14 +585,7 @@ func (s *Supervisor) completeRecovery() {
 // harvestStale folds a dying incarnation's stale-epoch counters into the
 // supervisor's running total before its proxies are replaced (evidence for
 // the policy plane: a flood means a zombie replaying traffic).
-func (s *Supervisor) harvestStale(p *Process) {
-	if p == nil {
-		return
-	}
-	for _, qp := range p.queueProxies() {
-		s.staleHarvest += qp.StaleEpochDowncalls()
-	}
-}
+func (s *Supervisor) harvestStale() { s.staleHarvest += s.proc.cls.qp.StaleEpochDowncalls() }
 
 // quarantine executes the give-up verdict: supervision ends, the driver is
 // barred (killed if still alive, its standby torn down), and the supervised
@@ -757,10 +603,5 @@ func (s *Supervisor) quarantine(reason string) {
 	if s.proc != nil && !s.proc.Killed() {
 		s.proc.Kill()
 	}
-	if s.blkName != "" {
-		s.K.Blk.Quarantine(s.blkName)
-	}
-	if s.ifName != "" {
-		s.K.Net.Quarantine(s.ifName)
-	}
+	s.proc.cls.quarantine(s.obj)
 }

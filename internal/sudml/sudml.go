@@ -28,7 +28,6 @@ import (
 
 	"sud/internal/drivers/api"
 	"sud/internal/kernel"
-	"sud/internal/kernel/netstack"
 	"sud/internal/mem"
 	"sud/internal/pci"
 	"sud/internal/proxy/audioproxy"
@@ -65,8 +64,11 @@ type Process struct {
 	// exactly one, named like the process account.
 	QueueAccts []*sim.CPUAccount
 
-	driver     api.Driver
-	inst       api.Instance
+	driver api.Driver
+	inst   api.Instance
+	// cls is the device class the driver registered (nil until it does);
+	// the driver's device for it is the matching typed field.
+	cls        *class
 	netdev     api.NetDevice
 	wifidev    api.WifiDevice
 	audiodev   api.AudioDevice
@@ -76,24 +78,15 @@ type Process struct {
 	Audio      *audioproxy.Proxy
 	Blk        *blkproxy.Proxy
 	irqHandler func()
-	ki         *ethproxy.KernelIface
 
 	// sliceAddrs maps handed-out DMA slice identities (pointer to first
 	// byte) to bus addresses, enabling zero-copy netif_rx. It is sized
-	// for its bound (maxSliceAddrs) up front: how often a growing map
-	// allocates depends on its random hash seed, and the steady state
-	// must not allocate at all.
+	// for its bound up front, so the steady state never grows it.
 	sliceAddrs map[*byte]mem.Addr
 
-	// txHold and blkHold hold transmits and block submissions the
-	// driver's hardware queues had no room for.
-	txHold, blkHold holdQ
-
-	// blkComp accumulates, per queue, I/O completion references awaiting
-	// the batched OpCompleteBatch downcall — the block analogue of
-	// rxBatch, flushed on the same dispatch boundaries. Single-queue
-	// channels bypass batching, keeping one message per completion.
-	blkComp [][]blkproxy.CompRef
+	// hold holds the class's transmits or block submissions the driver's
+	// hardware queues had no room for.
+	hold holdQ
 
 	// flushMeta maps an in-flight flush barrier's kernel tag to the
 	// framing the OpFlush upcall carried; the completion echoes it back
@@ -101,38 +94,20 @@ type Process struct {
 	flushMeta map[uint64]blkproxy.FlushOp
 
 	// qep mirrors, per queue, the epoch the kernel last armed the queue
-	// at (OpQueueEpoch frames from a surgical quarantine); the runtime
-	// stamps it on every completion it sends for that queue, so the
-	// proxy can reject completions minted for a dead incarnation of one
-	// queue without touching its siblings. qparked marks queues the
-	// kernel has told the runtime are quarantined (advisory).
+	// at (OpQueueEpoch frames from a surgical quarantine); it is stamped
+	// on the queue's completions so the proxy can reject ones minted for
+	// a dead incarnation. qparked marks quarantined queues (advisory).
 	qep     []uint64
 	qparked []bool
 
-	// rxBatch accumulates, per queue, received-frame references awaiting
-	// the batched OpNetifRxBatch downcall: up to ethproxy.MaxRxBatch
-	// frames ride one ring slot. Batches flush when full and at the end
-	// of the dispatch that produced them, so delivery never waits on
-	// future traffic. Single-queue channels bypass batching entirely —
-	// the Figure 8 transport is unchanged.
-	rxBatch [][]ethproxy.RxRef
-
-	// batchBuf is each queue's encode scratch for the batches above; the
-	// ring copies a batch into its slot, so one buffer per queue serves
-	// every flush.
-	batchBuf [][]byte
-
-	// NoRxBatch disables RX batch framing (ablation): every received
-	// frame crosses the channel as its own OpNetifRx downcall, one
-	// message — and with uchan batching also disabled, one doorbell —
-	// per frame.
+	// NoRxBatch disables the class's completion batching (ablation):
+	// every received frame or I/O completion crosses the channel as its
+	// own downcall, one message — and with uchan batching also disabled,
+	// one doorbell — per reference.
 	NoRxBatch bool
 
 	// kicker is the probed driver's staged-doorbell flush hook
-	// (api.BatchKicker), discovered once at probe. When set, a drain-end
-	// hook flushes the driver's staged doorbells — and the completions or
-	// frames the flush produced — on the same drain that serviced the
-	// batch. Nil for stock drivers: the transport is untouched.
+	// (api.BatchKicker; nil for stock drivers), see wireFastPath.
 	kicker api.BatchKicker
 
 	// Counters.
@@ -158,9 +133,8 @@ type Process struct {
 	// timeline reads kill → park → detect → verdict → ...
 	Flight *trace.Flight
 
-	// standby marks a hot-standby shell: spawned and (possibly) armed, but
-	// with the driver probe deferred to promotion. Cleared by
-	// ActivateDriver.
+	// standby marks a hot-standby shell whose driver probe is deferred
+	// to promotion (ActivateDriver).
 	standby bool
 
 	killed bool
@@ -191,22 +165,15 @@ func StartQ(k *kernel.Kernel, dev pci.Device, drv api.Driver, name string, uid, 
 	return p, nil
 }
 
-// StartStandbyQ spawns a driver process SHELL in hot-standby mode: the
-// process exists — device file open, uchan rings and service threads up,
-// the startup cost paid — but the driver is deliberately NOT probed, since
-// bringing up hardware the live primary still owns would wreck it (an NVMe
-// probe resets the controller). The supervisor arms the standby's proxy
-// against the live kernel object (ArmBlockStandby / ArmNetStandby) and
-// calls ActivateDriver at promotion, when the hardware is orphaned — so at
-// failover time the respawn cost is already sunk and only probe + bring-up
-// + replay remain on the kill-to-drained path.
+// StartStandbyQ spawns a driver process SHELL in hot-standby mode: device
+// file open, uchan rings and service threads up, the startup cost paid —
+// but the driver is NOT probed, since bringing up hardware the live primary
+// still owns would wreck it (an NVMe probe resets the controller). The
+// supervisor arms the standby's class against the live kernel object
+// (ArmStandby) and calls ActivateDriver at promotion, so only probe +
+// bring-up + replay remain on the kill-to-drained path.
 func StartStandbyQ(k *kernel.Kernel, dev pci.Device, drv api.Driver, name string, uid, queues int) (*Process, error) {
-	p, err := newShellQ(k, dev, drv, name, uid, queues, true)
-	if err != nil {
-		return nil, err
-	}
-	p.standby = true
-	return p, nil
+	return newShellQ(k, dev, drv, name, uid, queues, true)
 }
 
 // newShellQ builds the process shell — everything in the §4.1 flow up to
@@ -236,21 +203,13 @@ func newShellQ(k *kernel.Kernel, dev pci.Device, drv api.Driver, name string, ui
 		Acct:       acct,
 		QueueAccts: accts,
 		driver:     drv,
+		standby:    standby,
 		sliceAddrs: make(map[*byte]mem.Addr, maxSliceAddrs+1),
-		rxBatch:    make([][]ethproxy.RxRef, len(accts)),
-		batchBuf:   make([][]byte, len(accts)),
-		blkComp:    make([][]blkproxy.CompRef, len(accts)),
 		flushMeta:  make(map[uint64]blkproxy.FlushOp),
 		qep:        make([]uint64, len(accts)),
 		qparked:    make([]bool, len(accts)),
 	}
-	p.txHold = holdQ{p: p, try: p.tryXmit, drop: p.dropXmit}
-	// Only block flushes completions around a drain: see the slot-reuse
-	// hazard in the OpInterrupt dispatch.
-	p.blkHold = holdQ{p: p, try: p.tryBlkSubmit, drop: p.dropBlkSubmit, flush: p.flushBlkComps}
-	for _, h := range []*holdQ{&p.txHold, &p.blkHold} {
-		h.pending, h.timer = make([][]uchan.Msg, len(accts)), make([]bool, len(accts))
-	}
+	p.hold = holdQ{p: p, pending: make([][]uchan.Msg, len(accts)), timer: make([]bool, len(accts))}
 	ch.SetDriverHandler(p.dispatch)
 	ch.SetKernelHandler(p.routeDowncall)
 	acct.Charge(startupCost)
@@ -268,9 +227,7 @@ func (p *Process) probeDriver() error {
 		return fmt.Errorf("sudml: probe %s: %w", p.driver.Name(), err)
 	}
 	p.inst = inst
-	if h, ok := inst.(api.CtlHandler); ok {
-		p.ctl = h
-	}
+	p.ctl, _ = inst.(api.CtlHandler)
 	p.wireFastPath()
 	p.Chan.Flush() // deliver any downcalls queued during probe
 	return nil
@@ -282,25 +239,19 @@ func (p *Process) probeDriver() error {
 // those produced flush right after, so everything rides the drain that
 // serviced the upcalls. Stock drivers install nothing.
 func (p *Process) wireFastPath() {
-	var k api.BatchKicker
-	if kk, ok := p.netdev.(api.BatchKicker); ok {
-		k = kk
-	} else if kk, ok := p.blockdev.(api.BatchKicker); ok {
-		k = kk
-	} else if kk, ok := p.inst.(api.BatchKicker); ok {
-		k = kk
+	if p.kicker == nil {
+		p.kicker, _ = p.inst.(api.BatchKicker)
 	}
+	k := p.kicker
 	if k == nil {
 		return
 	}
-	p.kicker = k
 	p.Chan.SetOnDrainEnd(func() {
 		if p.killed {
 			return
 		}
 		k.KickPending()
-		p.flushRxBatches()
-		p.flushBlkComps()
+		p.flushBatches()
 	})
 }
 
@@ -312,10 +263,8 @@ func (p *Process) kickPending() {
 	}
 }
 
-// ActivateDriver probes the driver inside a promoted standby shell. The
-// primary is dead and its kernel object already rebound to this process's
-// proxy, so the probe's RegisterNetDev/RegisterBlockDev binds the driver
-// instance to the pre-armed proxy instead of registering anew.
+// ActivateDriver probes the driver inside a promoted standby shell; its
+// registration joins the pre-armed class (see register).
 func (p *Process) ActivateDriver() error {
 	if !p.standby {
 		return fmt.Errorf("sudml: %s is not a standby shell", p.Name)
@@ -324,60 +273,20 @@ func (p *Process) ActivateDriver() error {
 		return fmt.Errorf("sudml: standby %s is dead", p.Name)
 	}
 	p.standby = false
-	// The dead primary has detached; the device's bus identity now points
-	// at this process's domain, making its pre-built DMA mappings live.
+	// The device's bus identity moves to this process's domain, making its
+	// pre-built DMA mappings live.
 	p.DF.AttachDevice()
 	return p.probeDriver()
 }
 
-// ArmBlockStandby pre-registers this standby shell with the block core for
-// the named live device: the proxy (and its IOMMU-mapped slot pools) is
-// created now, the geometry identity check runs now, and only the device
-// binding waits for promotion.
-func (p *Process) ArmBlockStandby(name string, geom api.BlockGeometry) error {
-	if !p.standby {
-		return fmt.Errorf("sudml: %s is not a standby shell", p.Name)
-	}
-	if p.Blk != nil {
-		return fmt.Errorf("sudml: standby %s already armed", p.Name)
-	}
-	ki := &blkproxy.KernelIface{Acct: p.K.Acct, Mem: p.K.M.Mem, Blk: p.K.Blk}
-	proxy, err := blkproxy.NewStandby(ki, p.DF, p.Chan, name, geom)
-	if err != nil {
-		return err
-	}
-	p.Blk = proxy
-	return nil
-}
-
-// ArmNetStandby pre-registers this standby shell with the netstack for the
-// named live interface; the MAC identity check runs now.
-func (p *Process) ArmNetStandby(name string, mac [6]byte) error {
-	if !p.standby {
-		return fmt.Errorf("sudml: %s is not a standby shell", p.Name)
-	}
-	if p.Eth != nil {
-		return fmt.Errorf("sudml: standby %s already armed", p.Name)
-	}
-	p.ki = &ethproxy.KernelIface{Acct: p.K.Acct, Mem: p.K.M.Mem, Net: p.K.Net}
-	proxy, err := ethproxy.NewStandby(p.ki, p.DF, p.Chan, name, mac)
-	if err != nil {
-		return err
-	}
-	p.Eth = proxy
-	return nil
-}
-
 // Kill terminates the driver process (kill -9): the uchan dies, the device
-// file tears down DMA mappings and interrupts, and the network interface
+// file tears down DMA mappings and interrupts, and the kernel object
 // disappears. The kernel and other processes are unaffected — the device
-// can still attempt DMA, which now faults in the IOMMU.
-//
-// A supervised (Recoverable) process dies differently at the kernel edge:
-// its netdev and block devices enter shadow recovery — parked and awaiting
-// adoption by the restarted process — instead of being unregistered, so
-// applications holding them see a stall, not an error. Wifi and audio
-// devices have no recovery path yet and unregister either way.
+// can still attempt DMA, which now faults in the IOMMU. A supervised
+// (Recoverable) process's object instead enters shadow recovery, parked for
+// adoption by the restarted process, so applications holding it see a
+// stall, not an error; classes without a recovery path (wifi, audio)
+// unregister either way.
 func (p *Process) Kill() {
 	if p.killed {
 		return
@@ -386,27 +295,11 @@ func (p *Process) Kill() {
 	p.Flight.Recordf(trace.FKill, "%s (uid %d) killed", p.Name, p.UID)
 	p.Chan.Kill()
 	p.DF.Close()
-	if p.ki != nil && p.ki.IfaceNm != "" {
-		if p.Recoverable {
-			_, _ = p.K.Net.BeginRecovery(p.ki.IfaceNm)
+	if c := p.cls; c != nil && c.name != "" {
+		if p.Recoverable && c.beginRecovery != nil {
+			c.beginRecovery(c.name)
 		} else {
-			p.K.Net.Unregister(p.ki.IfaceNm)
-		}
-	}
-	if p.Wifi != nil {
-		p.K.Wifi.Unregister(p.Wifi.Ifc.Name)
-	}
-	if p.Audio != nil {
-		p.K.Audio.Unregister(p.Audio.PCM.Name)
-	}
-	if p.Blk != nil && p.Blk.Dev != nil {
-		// A standby proxy that was never bound to a device (armed, then
-		// disarmed or superseded) has nothing at the kernel edge to
-		// recover or unregister.
-		if p.Recoverable {
-			_, _ = p.K.Blk.BeginRecovery(p.Blk.Dev.Name)
-		} else {
-			p.K.Blk.Unregister(p.Blk.Dev.Name)
+			c.unregister(c.name)
 		}
 	}
 	p.K.Logf("sudml: driver process %s (uid %d) killed", p.Name, p.UID)
@@ -419,9 +312,8 @@ func (p *Process) Kill() {
 // Killed reports process death.
 func (p *Process) Killed() bool { return p.killed }
 
-// Ctl invokes the driver instance's generic control surface through the SUD
-// ctl channel (a synchronous, interruptible upcall) — the path classes
-// without a dedicated proxy use, e.g. the USB host class.
+// Ctl invokes the driver instance's generic control surface (a synchronous,
+// interruptible upcall): the path of classes without a proxy, e.g. USB.
 func (p *Process) Ctl(cmd uint32, arg []byte) ([]byte, error) {
 	reply, err := p.Chan.Send(uchan.Msg{Op: protocol.OpCtl, Args: [6]uint64{uint64(cmd)}, Data: arg})
 	if err != nil {
@@ -445,223 +337,86 @@ func (p *Process) Unhang() { p.Chan.SetHung(false) }
 // sibling queues, the urgent lane and the control ring keep servicing.
 func (p *Process) HangQueue(q int) { p.Chan.HangQueue(q, true) }
 
-// queueProxy is what the supervisor drives on a chassis-backed proxy: park
-// and re-arm, and the zombie-incarnation evidence it harvests.
-type queueProxy interface {
-	ParkQueue(q int)
-	RearmQueue(q int)
-	StaleEpochDowncalls() uint64
-}
-
-// queueProxies lists the process's chassis-backed proxies, block first.
-func (p *Process) queueProxies() []queueProxy {
-	var qps []queueProxy
-	if p.Blk != nil {
-		qps = append(qps, p.Blk)
-	}
-	if p.Eth != nil {
-		qps = append(qps, p.Eth)
-	}
-	return qps
-}
-
-// routeDowncall demultiplexes driver→kernel messages to the class proxy (or
-// the common handlers) by operation range. Runs in kernel context; q is the
-// ring the downcall arrived on.
+// routeDowncall hands a driver→kernel message to the bound class's proxy
+// when its op lies in the class's range; the interrupt ack is common to all
+// classes. Runs in kernel context; q is the ring the downcall arrived on.
 func (p *Process) routeDowncall(q int, m uchan.Msg) {
-	switch {
-	case m.Op == protocol.OpIRQAck:
+	if m.Op == protocol.OpIRQAck {
 		p.DF.Ack()
-	case m.Op >= protocol.EthBase && m.Op < protocol.WifiBase:
-		if p.Eth != nil {
-			p.Eth.HandleDowncall(q, m)
-		}
-	case m.Op >= protocol.WifiBase && m.Op < protocol.AudioBase:
-		if p.Wifi != nil {
-			p.Wifi.HandleDowncall(m)
-		}
-	case m.Op >= protocol.AudioBase && m.Op < protocol.BlockBase:
-		if p.Audio != nil {
-			p.Audio.HandleDowncall(m)
-		}
-	case m.Op >= protocol.BlockBase:
-		if p.Blk != nil {
-			p.Blk.HandleDowncall(q, m)
-		}
+	} else if c := p.cls; c != nil && m.Op >= c.lo && m.Op <= c.hi {
+		c.down(q, m)
 	}
 }
 
-// dispatch services one upcall in driver-process context; q is the ring the
-// message arrived on (its service thread runs the handler).
+// dispatch services one upcall in driver-process context through the bound
+// class's op table; q is the ring the message arrived on (its service
+// thread runs the handler). The op is kernel-chosen, but the table still
+// bounds-checks it: an op it does not name is answered "not handled".
 func (p *Process) dispatch(q int, m uchan.Msg) (uchan.Msg, bool) {
 	if p.killed {
 		return uchan.Msg{}, false
 	}
-	if m.Op >= protocol.WifiBase && m.Op < protocol.AudioBase && p.wifidev != nil {
-		return p.dispatchWifi(m)
+	ops := commonOps
+	if p.cls != nil {
+		ops = p.cls.ops
 	}
-	if m.Op >= protocol.AudioBase && m.Op < protocol.BlockBase && p.audiodev != nil {
-		return p.dispatchAudio(m)
+	if m.Op < uint32(len(ops)) && ops[m.Op] != nil {
+		return ops[m.Op](p, q, m)
 	}
-	if m.Op >= protocol.BlockBase && p.blockdev != nil {
-		return p.dispatchBlock(q, m)
+	return ack(m, 1)
+}
+
+// worker charges the hand-off of a blocking upcall to a worker thread.
+func (p *Process) worker() { p.Acct.Charge(sim.CostWorkerDispatch) }
+
+// ctlUpcall invokes the driver instance's generic control surface.
+func (p *Process) ctlUpcall(_ int, m uchan.Msg) (uchan.Msg, bool) {
+	if p.ctl == nil {
+		return uchan.Msg{Seq: m.Seq, Args: [6]uint64{1}, Data: []byte("no ctl handler")}, true
 	}
-	switch m.Op {
-	case protocol.OpCtl:
-		if p.ctl == nil {
-			return uchan.Msg{Seq: m.Seq, Args: [6]uint64{1}, Data: []byte("no ctl handler")}, true
-		}
-		p.Acct.Charge(sim.CostWorkerDispatch)
-		out, err := p.ctl.Ctl(uint32(m.Args[0]), m.Data)
-		r := replyErr(m, err)
-		if err == nil {
-			r.Data = out
-		}
-		return r, true
-	case ethproxy.OpOpen:
-		// Open may block (the e1000e sleeps probing interrupt modes,
-		// §4.2), so the idle thread hands it to a worker.
-		p.Acct.Charge(sim.CostWorkerDispatch)
-		return replyErr(m, p.netdev.Open()), true
-	case ethproxy.OpStop:
-		p.Acct.Charge(sim.CostWorkerDispatch)
-		return replyErr(m, p.netdev.Stop()), true
-	case ethproxy.OpIoctl:
-		p.Acct.Charge(sim.CostWorkerDispatch)
-		out, err := p.netdev.DoIoctl(uint32(m.Args[0]), m.Data)
-		r := replyErr(m, err)
-		if err == nil {
-			r.Data = out
-		}
-		return r, true
-	case ethproxy.OpXmit:
-		p.K.M.Trace.Event(trace.ClassNetTx, q, m.Args[2], trace.HopUchanDeq)
-		p.txHold.handle(q, m)
-		return ack(m, 0)
-	case ethproxy.OpPageRecycle:
-		p.handleRecycle(q, m, ethproxy.OpRecycleAck)
-		return ack(m, 0)
-	case ethproxy.OpQueueEpoch:
-		p.handleQueueEpoch(m)
-		return ack(m, 0)
-	case protocol.OpInterrupt:
-		if p.irqHandler != nil {
-			p.irqHandler()
-		}
-		// Block completions the handler collected must be DELIVERED —
-		// flushed through the ring into the proxy's guard copy — before
-		// held submissions run: a drained submission reuses the driver's
-		// pool slots, and a still-undelivered zero-copy completion
-		// reference into a reused slot would read the new request's
-		// bytes (the slot-reuse cousin of the §3.1.2 TOCTOU). Net
-		// processes skip this: their RX buffers are only overwritten by
-		// device DMA, which cannot run inside this dispatch.
-		if p.Blk != nil {
-			p.flushBlkComps()
-			p.Chan.Flush()
-		}
-		// The handler reclaimed TX descriptors (or drained block
-		// completion queues); feed held work in.
-		p.txHold.drain()
-		p.blkHold.drain()
-		// RX frames the handler collected ride out as per-queue batches
-		// on the same drain that serviced the interrupt.
-		p.flushRxBatches()
-		p.flushBlkComps()
-		return ack(m, 0)
-	default:
-		return ack(m, 1)
+	p.worker()
+	out, err := p.ctl.Ctl(uint32(m.Args[0]), m.Data)
+	return replyOut(m, out, err)
+}
+
+// interrupt runs the driver's interrupt handler, then feeds held work in
+// and flushes the completions the handler gathered.
+func (p *Process) interrupt(_ int, m uchan.Msg) (uchan.Msg, bool) {
+	if p.irqHandler != nil {
+		p.irqHandler()
+	}
+	// Block completions the handler collected must be DELIVERED — flushed
+	// through the ring into the proxy's guard copy — before held
+	// submissions run: a drained submission reuses the driver's pool
+	// slots, and a still-undelivered zero-copy completion reference into a
+	// reused slot would read the new request's bytes (the slot-reuse
+	// cousin of the §3.1.2 TOCTOU). Net processes skip this: their RX
+	// buffers are only overwritten by device DMA, which cannot run inside
+	// this dispatch.
+	if p.hold.deliverFirst {
+		p.flushBatches()
+		p.Chan.Flush()
+	}
+	// The handler reclaimed TX descriptors (or drained block completion
+	// queues); feed held work in. What the handler collected rides out as
+	// per-queue batches on the same drain that serviced the interrupt.
+	p.hold.drain()
+	p.flushBatches()
+	return ack(m, 0)
+}
+
+// flushBatches emits every queue's partial completion batch; called at the
+// end of a dispatch so completions never wait on future traffic.
+func (p *Process) flushBatches() {
+	if p.cls != nil && p.cls.batch != nil {
+		p.cls.batch.flush()
 	}
 }
 
-// dispatchWifi services wireless-class upcalls.
-func (p *Process) dispatchWifi(m uchan.Msg) (uchan.Msg, bool) {
-	switch m.Op {
-	case wifiproxy.OpOpen:
-		p.Acct.Charge(sim.CostWorkerDispatch)
-		return replyErr(m, p.wifidev.Open()), true
-	case wifiproxy.OpStop:
-		p.Acct.Charge(sim.CostWorkerDispatch)
-		return replyErr(m, p.wifidev.Stop()), true
-	case wifiproxy.OpScan:
-		if err := p.wifidev.StartScan(); err != nil {
-			p.K.Logf("[sud:%s] scan failed: %v", p.Name, err)
-		}
-		return ack(m, 0)
-	case wifiproxy.OpAssoc:
-		if err := p.wifidev.Associate(string(m.Data)); err != nil {
-			// Report failure through the mirrored state path.
-			_ = p.Chan.Down(uchan.Msg{Op: wifiproxy.OpDisassociated})
-		}
-		return ack(m, 0)
-	case wifiproxy.OpDisassoc:
-		_ = p.wifidev.Disassociate()
-		return ack(m, 0)
-	case wifiproxy.OpXmit:
-		p.Acct.Charge(sim.Copy(len(m.Data)))
-		if err := p.wifidev.StartXmit(m.Data); err != nil {
-			p.XmitRingDrops++
-		}
-		return ack(m, 0)
-	default:
-		return ack(m, 1)
-	}
-}
-
-// dispatchAudio services audio-class upcalls.
-func (p *Process) dispatchAudio(m uchan.Msg) (uchan.Msg, bool) {
-	switch m.Op {
-	case audioproxy.OpPrepare:
-		p.Acct.Charge(sim.CostWorkerDispatch)
-		return replyErr(m, p.audiodev.PrepareStream(int(m.Args[0]), int(m.Args[1]), int(m.Args[2]))), true
-	case audioproxy.OpWritePeriod:
-		p.Acct.Charge(sim.Copy(len(m.Data)))
-		if err := p.audiodev.WritePeriod(int(m.Args[0]), m.Data); err != nil {
-			p.K.Logf("[sud:%s] period write failed: %v", p.Name, err)
-		}
-		return ack(m, 0)
-	case audioproxy.OpTrigger:
-		p.Acct.Charge(sim.CostWorkerDispatch)
-		return replyErr(m, p.audiodev.Trigger(m.Args[0] == 1)), true
-	case audioproxy.OpPointer:
-		pos, err := p.audiodev.Pointer()
-		r := replyErr(m, err)
-		r.Args[1] = uint64(pos)
-		return r, true
-	default:
-		return ack(m, 1)
-	}
-}
-
-// dispatchBlock services block-class upcalls.
-func (p *Process) dispatchBlock(q int, m uchan.Msg) (uchan.Msg, bool) {
-	switch m.Op {
-	case blkproxy.OpOpen:
-		// Open may block (queue creation sleeps); hand it to a worker.
-		p.Acct.Charge(sim.CostWorkerDispatch)
-		return replyErr(m, p.blockdev.Open()), true
-	case blkproxy.OpStop:
-		p.Acct.Charge(sim.CostWorkerDispatch)
-		return replyErr(m, p.blockdev.Stop()), true
-	case blkproxy.OpSubmit, blkproxy.OpFlush:
-		// Flush barriers ride the same hold-queue machinery as
-		// submissions, so a full hardware queue delays — never drops —
-		// a barrier, and held work stays in order.
-		if m.Op != blkproxy.OpFlush {
-			p.K.M.Trace.Event(trace.ClassBlk, q, m.Args[5], trace.HopUchanDeq)
-		}
-		p.blkHold.handle(q, m)
-		return ack(m, 0)
-	case blkproxy.OpPageRecycle:
-		p.handleRecycle(q, m, blkproxy.OpRecycleAck)
-		return ack(m, 0)
-	case blkproxy.OpQueueEpoch:
-		p.handleQueueEpoch(m)
-		return ack(m, 0)
-	default:
-		return ack(m, 1)
-	}
-}
+// batching reports whether completions ride per-queue batches: multi-queue
+// channels batch; a single-queue channel keeps the paper's exact
+// one-message-per-completion transport.
+func (p *Process) batching() bool { return p.Chan.NumQueues() > 1 && !p.NoRxBatch }
 
 // handleQueueEpoch services an OpQueueEpoch upcall (either class): one
 // queue's epoch transition from a surgical quarantine. A parked frame just
@@ -670,22 +425,20 @@ func (p *Process) dispatchBlock(q int, m uchan.Msg) (uchan.Msg, bool) {
 // for the dead incarnation — the kernel replays its own request log, so
 // re-submitting held upcalls (or flushing completions gathered before the
 // quarantine) would double-deliver those tags.
-func (p *Process) handleQueueEpoch(m uchan.Msg) {
+func (p *Process) handleQueueEpoch(_ int, m uchan.Msg) {
 	p.Acct.Charge(sim.CostUMLCall)
 	s, err := protocol.DecodeQState(m.Data)
-	if err != nil || s.Queue >= len(p.qep) {
+	switch {
+	case err != nil || s.Queue >= len(p.qep):
 		p.BadQStateFrames++
-		return
-	}
-	if s.Parked() {
+	case s.Parked():
 		p.qparked[s.Queue] = true
-		return
+	default:
+		p.qep[s.Queue] = uint64(s.Epoch)
+		p.qparked[s.Queue] = false
+		p.hold.pending[s.Queue] = nil
+		p.cls.batch.reset(s.Queue)
 	}
-	p.qep[s.Queue] = uint64(s.Epoch)
-	p.qparked[s.Queue] = false
-	p.blkHold.pending[s.Queue] = nil
-	p.txHold.pending[s.Queue] = nil
-	p.blkComp[s.Queue] = p.blkComp[s.Queue][:0]
 }
 
 // handleRecycle services an OpPageRecycle upcall (either class): the frame
@@ -700,13 +453,7 @@ func (p *Process) handleRecycle(q int, m uchan.Msg, ackOp uint32) {
 		p.BadRecycleFrames++
 		return
 	}
-	var rec api.PageRecycler
-	if r, ok := p.netdev.(api.PageRecycler); ok {
-		rec = r
-	} else if r, ok := p.blockdev.(api.PageRecycler); ok {
-		rec = r
-	}
-	if rec != nil {
+	if rec := p.cls.recycler; rec != nil {
 		addrs := make([]mem.Addr, len(pages))
 		for i, pg := range pages {
 			addrs[i] = mem.Addr(pg)
@@ -733,6 +480,15 @@ func replyErr(m uchan.Msg, err error) uchan.Msg {
 	return r
 }
 
+// replyOut replies with a call's output, or with its error.
+func replyOut(m uchan.Msg, out []byte, err error) (uchan.Msg, bool) {
+	r := replyErr(m, err)
+	if err == nil {
+		r.Data = out
+	}
+	return r, true
+}
+
 // xmitRetryDelay is the fallback pacing when held work cannot ride on an
 // interrupt (the UML qdisc timer).
 const xmitRetryDelay = 100 * sim.Microsecond
@@ -740,7 +496,7 @@ const xmitRetryDelay = 100 * sim.Microsecond
 // maxPendingTx bounds each UML-side hold queue.
 const maxPendingTx = uchan.RingSlots
 
-// holdQ is one class's per-queue hold queue. An upcall whose hardware queue
+// holdQ is the class's per-queue hold queue. An upcall whose hardware queue
 // is full is held — its shared slot unreleased — so a full ring
 // backpressures the kernel through shared-pool exhaustion instead of
 // dropping work and burning CPU on doomed retries. Held work drains in
@@ -752,27 +508,25 @@ type holdQ struct {
 	timer   []bool
 
 	// try hands one upcall to the driver, reporting false if its queue is
-	// full; drop completes one the hold queue has no room for. flush, when
-	// set, delivers completions gathered so far (block only).
-	try   func(q int, m uchan.Msg) bool
-	drop  func(q int, m uchan.Msg)
-	flush func()
+	// full; drop completes one the hold queue has no room for. With
+	// deliverFirst, completions gathered so far are delivered before held
+	// work drains (block only).
+	try          func(q int, m uchan.Msg) bool
+	drop         func(q int, m uchan.Msg)
+	deliverFirst bool
 }
 
-// handle runs m on hardware queue q, or holds it behind earlier held work.
+// handle runs m on hardware queue q, or holds it behind earlier held work
+// (dropping it when the hold queue is full).
 func (h *holdQ) handle(q int, m uchan.Msg) {
-	if len(h.pending[q]) > 0 || !h.try(q, m) {
-		h.hold(q, m)
-	}
-}
-
-func (h *holdQ) hold(q int, m uchan.Msg) {
-	if len(h.pending[q]) >= maxPendingTx {
+	switch {
+	case len(h.pending[q]) == 0 && h.try(q, m):
+	case len(h.pending[q]) >= maxPendingTx:
 		h.drop(q, m)
-		return
+	default:
+		h.pending[q] = append(h.pending[q], m)
+		h.arm(q)
 	}
-	h.pending[q] = append(h.pending[q], m)
-	h.arm(q)
 }
 
 func (h *holdQ) arm(q int) {
@@ -789,14 +543,14 @@ func (h *holdQ) retry(q int) {
 		return
 	}
 	p.QueueAccts[q].Charge(sim.CostUMLCall)
-	if h.flush != nil {
-		h.flush()
+	if h.deliverFirst {
+		p.flushBatches()
 		p.Chan.Flush()
 	}
 	h.drainQ(q)
 	p.kickPending()
-	if h.flush != nil {
-		h.flush()
+	if h.deliverFirst {
+		p.flushBatches()
 	}
 	p.Chan.Flush()
 	if len(h.pending[q]) > 0 {
@@ -869,10 +623,8 @@ func (p *Process) tryBlkSubmit(q int, m uchan.Msg) bool {
 	if m.Op == blkproxy.OpFlush {
 		fo, err := blkproxy.DecodeFlushOp(m.Data)
 		if err != nil {
-			// The frame is kernel-written, so this cannot happen today —
-			// but a dropped barrier wedges the device (the kernel-side
-			// barrier waits forever), so the drop is counted and logged,
-			// never silent.
+			// The frame is kernel-written, but a dropped barrier wedges
+			// the device, so the drop is counted and logged, never silent.
 			p.BadFlushFrames++
 			p.K.Logf("sudml: %s dropped undecodable flush frame (%v)", p.Name, err)
 			return true
@@ -905,14 +657,10 @@ func (p *Process) tryBlkSubmit(q int, m uchan.Msg) bool {
 	return true
 }
 
-// dropBlkSubmit fails a submission it cannot take, releasing its slot.
-func (p *Process) dropBlkSubmit(q int, m uchan.Msg) { p.blkCompDone(q, m.Args[5], 1) }
-
-// blkCompDone reports a request finished with a bare status (no payload) —
-// used for kernel-side drops so the proxy releases the request's slot.
-func (p *Process) blkCompDone(q int, tag uint64, status uint16) {
-	_ = p.Chan.DownQ(q, uchan.Msg{Op: blkproxy.OpComplete,
-		Args: [6]uint64{tag, uint64(status), 0, 0, p.qep[q]}})
+// dropBlkSubmit fails a submission it cannot take with a bare error
+// status, so the proxy releases the request's slot.
+func (p *Process) dropBlkSubmit(q int, m uchan.Msg) {
+	_ = p.Chan.DownQ(q, uchan.Msg{Op: blkproxy.OpComplete, Args: [6]uint64{m.Args[5], 1, 0, 0, p.qep[q]}})
 }
 
 // --- api.Env implementation ---------------------------------------------------
@@ -936,22 +684,17 @@ func (e *env) ConfigWrite(off, size int, v uint32) error {
 	return e.p.DF.ConfigWrite(off, size, v)
 }
 
-func (e *env) EnableDevice() error {
-	e.uml()
-	cur, err := e.p.DF.ConfigRead(pci.CfgCommand, 2)
-	if err != nil {
-		return err
-	}
-	return e.p.DF.ConfigWrite(pci.CfgCommand, 2, cur|pci.CmdMemSpace|pci.CmdIOSpace)
-}
+func (e *env) EnableDevice() error { return e.setCommand(pci.CmdMemSpace | pci.CmdIOSpace) }
+func (e *env) SetMaster() error    { return e.setCommand(pci.CmdBusMaster) }
 
-func (e *env) SetMaster() error {
+// setCommand sets bits in the device's PCI command register.
+func (e *env) setCommand(bits uint32) error {
 	e.uml()
 	cur, err := e.p.DF.ConfigRead(pci.CfgCommand, 2)
 	if err != nil {
 		return err
 	}
-	return e.p.DF.ConfigWrite(pci.CfgCommand, 2, cur|pci.CmdBusMaster)
+	return e.p.DF.ConfigWrite(pci.CfgCommand, 2, cur|bits)
 }
 
 func (e *env) FindCapability(id uint8) int {
@@ -991,40 +734,33 @@ func (e *env) RequestRegion(bar int) (api.PortIO, error) {
 	return io, nil
 }
 
-func (e *env) AllocCoherent(size int) (api.DMABuf, error) {
-	e.uml()
-	a, err := e.p.DF.AllocDMA(size, fmt.Sprintf("coherent #%d", len(e.p.DF.Allocs())), true)
-	if err != nil {
-		return nil, err
-	}
-	return &umlDMA{p: e.p, a: a, size: size}, nil
-}
-
-func (e *env) AllocCaching(size int) (api.DMABuf, error) {
-	e.uml()
-	a, err := e.p.DF.AllocDMA(size, fmt.Sprintf("caching #%d", len(e.p.DF.Allocs())), false)
-	if err != nil {
-		return nil, err
-	}
-	return &umlDMA{p: e.p, a: a, size: size}, nil
-}
+func (e *env) AllocCoherent(size int) (api.DMABuf, error) { return e.alloc(size, 0, true) }
+func (e *env) AllocCaching(size int) (api.DMABuf, error)  { return e.alloc(size, 0, false) }
 
 // AllocCoherentQ/AllocCachingQ implement api.QueueDMAAllocator: the
 // allocation is mapped only into the stream's per-queue IOMMU sub-domain,
 // the device-side half of queue-granular DMA confinement. The driver-side
 // window is unchanged — the process sees one DMA address space either way.
 func (e *env) AllocCoherentQ(size, stream int) (api.DMABuf, error) {
-	e.uml()
-	a, err := e.p.DF.AllocDMAQ(size, fmt.Sprintf("coherent q%d #%d", stream, len(e.p.DF.Allocs())), true, stream)
-	if err != nil {
-		return nil, err
-	}
-	return &umlDMA{p: e.p, a: a, size: size}, nil
+	return e.alloc(size, stream, true)
 }
 
 func (e *env) AllocCachingQ(size, stream int) (api.DMABuf, error) {
+	return e.alloc(size, stream, false)
+}
+
+// alloc maps size bytes of DMA memory into the device's domain, or — for
+// stream > 0 — only into that queue's sub-domain.
+func (e *env) alloc(size, stream int, coherent bool) (api.DMABuf, error) {
 	e.uml()
-	a, err := e.p.DF.AllocDMAQ(size, fmt.Sprintf("caching q%d #%d", stream, len(e.p.DF.Allocs())), false, stream)
+	label := "caching"
+	if coherent {
+		label = "coherent"
+	}
+	if stream > 0 {
+		label += fmt.Sprintf(" q%d", stream)
+	}
+	a, err := e.p.DF.AllocDMAQ(size, fmt.Sprintf("%s #%d", label, len(e.p.DF.Allocs())), coherent, stream)
 	if err != nil {
 		return nil, err
 	}
@@ -1046,12 +782,10 @@ func (e *env) RequestIRQ(handler func()) error {
 	p.irqHandler = handler
 	return p.DF.RequestIRQ(func() {
 		// Kernel context: forward the interrupt as an urgent upcall —
-		// interrupt wakes are the pump for batched async upcalls.
-		if err := p.Chan.ASendUrgent(uchan.Msg{Op: protocol.OpInterrupt}); err != nil {
-			// Ring full or dead: the interrupt is dropped; masking
-			// policy in pciaccess protects the system.
-			return
-		}
+		// interrupt wakes are the pump for batched async upcalls. On a
+		// full or dead ring the interrupt is dropped; masking policy in
+		// pciaccess protects the system.
+		_ = p.Chan.ASendUrgent(uchan.Msg{Op: protocol.OpInterrupt})
 	})
 }
 
@@ -1063,37 +797,15 @@ func (e *env) FreeIRQ() error {
 
 func (e *env) IRQAck() {
 	e.uml()
-	if err := e.p.Chan.Down(uchan.Msg{Op: protocol.OpIRQAck}); err != nil {
-		return
-	}
+	_ = e.p.Chan.Down(uchan.Msg{Op: protocol.OpIRQAck})
 }
 
+// RegisterNetDev implements api.Env for the untrusted host: an Ethernet
+// proxy is created in the kernel with the hardware address mirrored.
 func (e *env) RegisterNetDev(name string, macAddr [6]byte, dev api.NetDevice) (api.NetKernel, error) {
-	e.uml()
-	p := e.p
-	if p.Eth != nil && p.netdev == nil && p.Eth.Ifc != nil {
-		// Promoted hot standby: the proxy pre-registered (and was identity
-		// checked) before the kill and is already bound to the adopted
-		// interface; the probing driver binds to it instead of registering
-		// anew. The MAC the driver read back from the hardware must still
-		// match — same EEPROM, same interface.
-		if p.Eth.Ifc.MAC != netstack.MAC(macAddr) {
-			return nil, fmt.Errorf("sudml: standby driver MAC does not match %s", p.Eth.Ifc.Name)
-		}
-		p.netdev = dev
-		return &umlNetKernel{p: p}, nil
-	}
-	if p.Eth != nil {
-		return nil, fmt.Errorf("sudml: netdev already registered")
-	}
-	p.netdev = dev
-	p.ki = &ethproxy.KernelIface{Acct: p.K.Acct, Mem: p.K.M.Mem, Net: p.K.Net}
-	proxy, err := ethproxy.New(p.ki, p.DF, p.Chan, name, macAddr)
-	if err != nil {
-		return nil, err
-	}
-	p.Eth = proxy
-	return &umlNetKernel{p: p}, nil
+	return register[api.NetKernel](e, macAddr, dev, &e.p.netdev, func(p *Process) (*class, error) {
+		return p.netClass(ethproxy.New(p.netKI(), p.DF, p.Chan, name, macAddr))
+	})
 }
 
 func (e *env) Jiffies() uint64 {
@@ -1111,8 +823,7 @@ func (e *env) Timer(delayJiffies uint64, fn func()) {
 		p.Acct.Charge(sim.CostUMLCall)
 		fn()
 		p.kickPending()
-		p.flushRxBatches()
-		p.flushBlkComps()
+		p.flushBatches()
 		p.Chan.Flush()
 	})
 }
@@ -1125,34 +836,16 @@ func (e *env) Logf(format string, args ...any) {
 // proxy is created in the kernel, with the driver's static feature set
 // mirrored at registration (§3.1.1).
 func (e *env) RegisterWifiDev(name string, macAddr [6]byte, dev api.WifiDevice) (api.WifiKernel, error) {
-	e.uml()
-	p := e.p
-	if p.Wifi != nil {
-		return nil, fmt.Errorf("sudml: wifi device already registered")
-	}
-	p.wifidev = dev
-	proxy, err := wifiproxy.New(p.K.Wifi, p.DF, p.Chan.Queue(0), name, macAddr, dev.Features())
-	if err != nil {
-		return nil, err
-	}
-	p.Wifi = proxy
-	return &umlWifiKernel{p: p}, nil
+	return register[api.WifiKernel](e, macAddr, dev, &e.p.wifidev, func(p *Process) (*class, error) {
+		return p.wifiClass(wifiproxy.New(p.K.Wifi, p.DF, p.Chan.Queue(0), name, macAddr, dev.Features()))
+	})
 }
 
 // RegisterSoundDev implements api.EnvAudio for the untrusted host.
 func (e *env) RegisterSoundDev(name string, dev api.AudioDevice) (api.AudioKernel, error) {
-	e.uml()
-	p := e.p
-	if p.Audio != nil {
-		return nil, fmt.Errorf("sudml: sound device already registered")
-	}
-	p.audiodev = dev
-	proxy, err := audioproxy.New(p.K.Audio, p.DF, p.Chan.Queue(0), name)
-	if err != nil {
-		return nil, err
-	}
-	p.Audio = proxy
-	return &umlAudioKernel{p: p}, nil
+	return register[api.AudioKernel](e, name, dev, &e.p.audiodev, func(p *Process) (*class, error) {
+		return p.audioClass(audioproxy.New(p.K.Audio, p.DF, p.Chan.Queue(0), name))
+	})
 }
 
 // RegisterBlockDev implements api.EnvBlock for the untrusted host: a block
@@ -1160,38 +853,16 @@ func (e *env) RegisterSoundDev(name string, dev api.AudioDevice) (api.AudioKerne
 // registration (§3.3), and its per-queue shared-slot pools become distinct
 // device-file allocations in the process's IOMMU domain.
 func (e *env) RegisterBlockDev(name string, geom api.BlockGeometry, dev api.BlockDevice) (api.BlockKernel, error) {
-	e.uml()
-	p := e.p
-	if p.Blk != nil && p.blockdev == nil && p.Blk.Dev != nil {
-		// Promoted hot standby: the proxy pre-registered (and was geometry
-		// checked) before the kill and is already bound to the adopted
-		// device; the probing driver binds to it instead of registering
-		// anew. The geometry the driver read back from the controller must
-		// still match — same media, same device.
-		if p.Blk.Dev.Geom != geom {
-			return nil, fmt.Errorf("sudml: standby driver geometry %+v does not match %s's %+v",
-				geom, p.Blk.Dev.Name, p.Blk.Dev.Geom)
-		}
-		p.blockdev = dev
-		return &umlBlockKernel{p: p}, nil
-	}
-	if p.Blk != nil {
-		return nil, fmt.Errorf("sudml: block device already registered")
-	}
-	p.blockdev = dev
-	ki := &blkproxy.KernelIface{Acct: p.K.Acct, Mem: p.K.M.Mem, Blk: p.K.Blk}
-	proxy, err := blkproxy.New(ki, p.DF, p.Chan, name, geom)
-	if err != nil {
-		return nil, err
-	}
-	p.Blk = proxy
-	return &umlBlockKernel{p: p}, nil
+	return register[api.BlockKernel](e, geom, dev, &e.p.blockdev, func(p *Process) (*class, error) {
+		return p.blkClass(blkproxy.New(p.blkKI(), p.DF, p.Chan, name, geom))
+	})
 }
 
 // umlBlockKernel is the driver-side api.BlockKernel: completions cross the
 // channel as shared-buffer references, batched per queue.
 type umlBlockKernel struct {
-	p *Process
+	p     *Process
+	comps *refBatch[blkproxy.CompRef]
 }
 
 var _ api.BlockKernel = (*umlBlockKernel)(nil)
@@ -1208,7 +879,7 @@ func (bk *umlBlockKernel) Complete(q int, tag uint64, err error, data []byte) {
 	if p.killed {
 		return
 	}
-	if q < 0 || q >= len(p.blkComp) {
+	if q < 0 || q >= len(p.QueueAccts) {
 		q = 0
 	}
 	p.QueueAccts[q].Charge(sim.CostUMLCall)
@@ -1218,7 +889,7 @@ func (bk *umlBlockKernel) Complete(q int, tag uint64, err error, data []byte) {
 		// barrier ack, then echo the OpFlush frame back with the status —
 		// the proxy's barrier accounting verifies the echo.
 		delete(p.flushMeta, tag)
-		p.flushBlkComps()
+		bk.comps.flush()
 		if err != nil {
 			fo.Status = 1
 		}
@@ -1226,6 +897,7 @@ func (bk *umlBlockKernel) Complete(q int, tag uint64, err error, data []byte) {
 		return
 	}
 	comp := p.completionRef(tag, err, data)
+	var inline []byte
 	if comp.IOVA == 0 && len(data) > 0 && err == nil {
 		// Slice identity lost (the payload is not a registered DMA
 		// view): bounce it inline on either transport — a zero
@@ -1233,18 +905,12 @@ func (bk *umlBlockKernel) Complete(q int, tag uint64, err error, data []byte) {
 		// completion. The ring copies it into its slot.
 		p.BouncedRx++
 		p.QueueAccts[q].Charge(sim.Copy(len(data)))
-		_ = p.Chan.DownQ(q, uchan.Msg{Op: blkproxy.OpComplete, Data: data,
-			Args: [6]uint64{comp.Tag, uint64(comp.Status), 0, 0, p.qep[q]}})
+		inline = data
+	} else if p.batching() {
+		bk.comps.add(q, comp)
 		return
 	}
-	if p.Chan.NumQueues() > 1 {
-		p.blkComp[q] = append(p.blkComp[q], comp)
-		if len(p.blkComp[q]) >= blkproxy.MaxBlkBatch {
-			p.flushBlkCompQ(q)
-		}
-		return
-	}
-	_ = p.Chan.DownQ(q, uchan.Msg{Op: blkproxy.OpComplete,
+	_ = p.Chan.DownQ(q, uchan.Msg{Op: blkproxy.OpComplete, Data: inline,
 		Args: [6]uint64{comp.Tag, uint64(comp.Status), comp.IOVA, uint64(comp.Len), p.qep[q]}})
 }
 
@@ -1272,29 +938,6 @@ func (p *Process) completionRef(tag uint64, err error, data []byte) blkproxy.Com
 // space.
 func (bk *umlBlockKernel) WakeQueueQ(q int) { bk.p.wakeQueue(q, blkproxy.OpWakeQueue) }
 
-// flushBlkCompQ emits queue q's accumulated completions as one batched
-// downcall message on ring q.
-func (p *Process) flushBlkCompQ(q int) {
-	if len(p.blkComp[q]) == 0 {
-		return
-	}
-	data := blkproxy.EncodeBlkBatch(p.batchBuf[q], p.blkComp[q])
-	p.batchBuf[q] = data
-	p.blkComp[q] = p.blkComp[q][:0]
-	p.QueueAccts[q].Charge(sim.Copy(len(data)))
-	p.BlkBatches++
-	_ = p.Chan.DownQ(q, uchan.Msg{Op: blkproxy.OpCompleteBatch, Data: data,
-		Args: [6]uint64{p.qep[q]}})
-}
-
-// flushBlkComps emits every queue's partial completion batch; called at the
-// end of a dispatch so completions never wait on future I/O.
-func (p *Process) flushBlkComps() {
-	for q := range p.blkComp {
-		p.flushBlkCompQ(q)
-	}
-}
-
 // umlAudioKernel is the driver-side api.AudioKernel.
 type umlAudioKernel struct {
 	p *Process
@@ -1306,17 +949,17 @@ var _ api.AudioKernel = (*umlAudioKernel)(nil)
 // immediately rather than waiting for batching, because a late period is an
 // audible underrun (§4.1 real-time scheduling).
 func (ak *umlAudioKernel) PeriodElapsed() {
-	p := ak.p
-	p.Acct.Charge(sim.CostUMLCall)
-	_ = p.Chan.Down(uchan.Msg{Op: audioproxy.OpPeriodElapsed})
-	p.Chan.Flush()
+	ak.p.notify(audioproxy.OpPeriodElapsed, nil)
+	ak.p.Chan.Flush()
 }
 
 // XRun reports an underrun.
-func (ak *umlAudioKernel) XRun() {
-	p := ak.p
+func (ak *umlAudioKernel) XRun() { ak.p.notify(audioproxy.OpXRun, nil) }
+
+// notify sends one state-mirroring downcall (§3.3) on the first ring.
+func (p *Process) notify(op uint32, data []byte) {
 	p.Acct.Charge(sim.CostUMLCall)
-	_ = p.Chan.Down(uchan.Msg{Op: audioproxy.OpXRun})
+	_ = p.Chan.Down(uchan.Msg{Op: op, Data: data})
 }
 
 // umlWifiKernel is the driver-side api.WifiKernel: every notification is a
@@ -1337,22 +980,11 @@ func (wk *umlWifiKernel) NetifRx(frame []byte) {
 }
 
 func (wk *umlWifiKernel) ScanDone(results []api.BSS) {
-	p := wk.p
-	p.Acct.Charge(sim.CostUMLCall)
-	_ = p.Chan.Down(uchan.Msg{Op: wifiproxy.OpScanDone, Data: wifiproxy.EncodeBSSList(results)})
+	wk.p.notify(wifiproxy.OpScanDone, wifiproxy.EncodeBSSList(results))
 }
 
-func (wk *umlWifiKernel) Associated(ssid string) {
-	p := wk.p
-	p.Acct.Charge(sim.CostUMLCall)
-	_ = p.Chan.Down(uchan.Msg{Op: wifiproxy.OpAssociated, Data: []byte(ssid)})
-}
-
-func (wk *umlWifiKernel) Disassociated() {
-	p := wk.p
-	p.Acct.Charge(sim.CostUMLCall)
-	_ = p.Chan.Down(uchan.Msg{Op: wifiproxy.OpDisassociated})
-}
+func (wk *umlWifiKernel) Associated(ssid string) { wk.p.notify(wifiproxy.OpAssociated, []byte(ssid)) }
+func (wk *umlWifiKernel) Disassociated()         { wk.p.notify(wifiproxy.OpDisassociated, nil) }
 
 // --- DMA buffers ----------------------------------------------------------------
 
@@ -1381,25 +1013,29 @@ func (b *umlDMA) touch(off, n int, write bool) error {
 }
 
 func (b *umlDMA) Read(off int, p []byte) error {
-	if off < 0 || off+len(p) > b.size {
-		return fmt.Errorf("sudml: DMA read out of bounds")
-	}
-	if err := b.touch(off, len(p), false); err != nil {
+	if err := b.access(off, p, false); err != nil {
 		return err
 	}
-	b.p.Acct.Charge(sim.Copy(len(p)))
 	return b.p.K.M.Mem.Read(b.a.Phys+mem.Addr(off), p)
 }
 
 func (b *umlDMA) Write(off int, p []byte) error {
-	if off < 0 || off+len(p) > b.size {
-		return fmt.Errorf("sudml: DMA write out of bounds")
+	if err := b.access(off, p, true); err != nil {
+		return err
 	}
-	if err := b.touch(off, len(p), true); err != nil {
+	return b.p.K.M.Mem.Write(b.a.Phys+mem.Addr(off), p)
+}
+
+// access checks a driver copy of p at off and charges it.
+func (b *umlDMA) access(off int, p []byte, write bool) error {
+	if off < 0 || off+len(p) > b.size {
+		return fmt.Errorf("sudml: DMA access out of bounds")
+	}
+	if err := b.touch(off, len(p), write); err != nil {
 		return err
 	}
 	b.p.Acct.Charge(sim.Copy(len(p)))
-	return b.p.K.M.Mem.Write(b.a.Phys+mem.Addr(off), p)
+	return nil
 }
 
 // maxSliceAddrs bounds the slice-identity table; past it the table is
@@ -1430,7 +1066,8 @@ func (b *umlDMA) Slice(off, n int) ([]byte, bool) {
 // --- NetKernel (driver → "kernel" inside SUD-UML) --------------------------------
 
 type umlNetKernel struct {
-	p *Process
+	p  *Process
+	rx *refBatch[ethproxy.RxRef]
 }
 
 var _ api.NetKernel = (*umlNetKernel)(nil)
@@ -1450,65 +1087,34 @@ func (nk *umlNetKernel) NetifRx(frame []byte, q int) {
 	if len(frame) == 0 || p.killed {
 		return
 	}
-	if q < 0 || q >= len(p.rxBatch) {
+	if q < 0 || q >= len(p.QueueAccts) {
 		q = 0
 	}
-	multi := p.Chan.NumQueues() > 1 && !p.NoRxBatch
 	p.QueueAccts[q].Charge(sim.CostUMLCall)
-	if iova, ok := p.sliceAddrs[&frame[0]]; ok {
+	iova, ok := p.sliceAddrs[&frame[0]]
+	var inline []byte
+	if ok {
 		p.ZeroCopyRx++
 		p.K.M.Trace.Event(trace.ClassNetRx, q, uint64(iova), trace.HopUchanEnq)
-		if multi {
-			p.rxBatch[q] = append(p.rxBatch[q], ethproxy.RxRef{IOVA: uint64(iova), Len: uint32(len(frame))})
-			if len(p.rxBatch[q]) >= ethproxy.MaxRxBatch {
-				p.flushRxBatchQ(q)
-			}
+		if p.batching() {
+			nk.rx.add(q, ethproxy.RxRef{IOVA: uint64(iova), Len: uint32(len(frame))})
 			return
 		}
-		_ = p.Chan.DownQ(q, uchan.Msg{Op: ethproxy.OpNetifRx, Args: [6]uint64{uint64(iova), uint64(len(frame))}})
-		return
+	} else {
+		// Fallback: bounce through an inline copy in the message (the
+		// ring copies it into its slot).
+		p.BouncedRx++
+		p.QueueAccts[q].Charge(sim.Copy(len(frame)))
+		inline = frame
 	}
-	// Fallback: bounce through an inline copy in the message (the ring
-	// copies it into its slot).
-	p.BouncedRx++
-	p.QueueAccts[q].Charge(sim.Copy(len(frame)))
-	_ = p.Chan.DownQ(q, uchan.Msg{Op: ethproxy.OpNetifRx, Data: frame,
-		Args: [6]uint64{0, uint64(len(frame))}})
-}
-
-// flushRxBatchQ emits queue q's accumulated frame references as one batched
-// downcall message on ring q.
-func (p *Process) flushRxBatchQ(q int) {
-	if len(p.rxBatch[q]) == 0 {
-		return
-	}
-	data := ethproxy.EncodeRxBatch(p.batchBuf[q], p.rxBatch[q])
-	p.batchBuf[q] = data
-	p.rxBatch[q] = p.rxBatch[q][:0]
-	p.QueueAccts[q].Charge(sim.Copy(len(data)))
-	p.RxBatches++
-	_ = p.Chan.DownQ(q, uchan.Msg{Op: ethproxy.OpNetifRxBatch, Data: data})
-}
-
-// flushRxBatches emits every queue's partial batch; called at the end of a
-// dispatch so received frames never wait on future traffic.
-func (p *Process) flushRxBatches() {
-	for q := range p.rxBatch {
-		p.flushRxBatchQ(q)
-	}
+	_ = p.Chan.DownQ(q, uchan.Msg{Op: ethproxy.OpNetifRx, Data: inline, Args: [6]uint64{uint64(iova), uint64(len(frame))}})
 }
 
 // CarrierOn mirrors link state to the kernel (§3.3 shared-memory state).
-func (nk *umlNetKernel) CarrierOn() {
-	nk.p.Acct.Charge(sim.CostUMLCall)
-	_ = nk.p.Chan.Down(uchan.Msg{Op: ethproxy.OpCarrierOn})
-}
+func (nk *umlNetKernel) CarrierOn() { nk.p.notify(ethproxy.OpCarrierOn, nil) }
 
 // CarrierOff mirrors link state to the kernel.
-func (nk *umlNetKernel) CarrierOff() {
-	nk.p.Acct.Charge(sim.CostUMLCall)
-	_ = nk.p.Chan.Down(uchan.Msg{Op: ethproxy.OpCarrierOff})
-}
+func (nk *umlNetKernel) CarrierOff() { nk.p.notify(ethproxy.OpCarrierOff, nil) }
 
 // WakeQueue mirrors TX queue state to the kernel: queue q's device ring
 // regained space.

@@ -32,7 +32,8 @@ import (
 // single-ring transport bit for bit — Q=1 stays the paper's Figure 8 system.
 type MultiChan struct {
 	queues []*Chan
-	urgent *Chan // aliases queues[0] when len(queues) == 1
+	urgent *Chan   // aliases queues[0] when len(queues) == 1
+	rings  []*Chan // every ring once: the queues, then a distinct urgent lane
 
 	// land holds each ring's kernel-side landing buffer: a decoded
 	// downcall's payload, borrowed by the kernel handler for the call.
@@ -61,6 +62,10 @@ func NewMulti(loop *sim.Loop, kern *sim.CPUAccount, drvAccts []*sim.CPUAccount) 
 		// interrupt is taken on one CPU and fanned out from there).
 		mc.urgent = New(loop, kern, drvAccts[0])
 	}
+	mc.rings = mc.queues
+	if mc.urgent != mc.queues[0] {
+		mc.rings = append(mc.queues[:len(mc.queues):len(mc.queues)], mc.urgent)
+	}
 	return mc
 }
 
@@ -88,8 +93,7 @@ func (mc *MultiChan) clamp(q int) int {
 // message also pokes sibling rings so their queued bulk messages ride the
 // interrupt wake.
 func (mc *MultiChan) SetDriverHandler(h func(q int, m Msg) (Msg, bool)) {
-	for i, c := range mc.queues {
-		q := i
+	for q, c := range mc.queues {
 		c.DriverHandler = func(m Msg) (Msg, bool) { return h(q, m) }
 	}
 	if mc.urgent != mc.queues[0] {
@@ -114,11 +118,8 @@ func (mc *MultiChan) SetDriverHandler(h func(q int, m Msg) (Msg, bool)) {
 // upcalls is serviced, before the downcall flush. SUD-UML uses it to flush
 // device doorbell writes staged during the batch (submit-side coalescing).
 func (mc *MultiChan) SetOnDrainEnd(f func()) {
-	for _, c := range mc.queues {
+	for _, c := range mc.rings {
 		c.OnDrainEnd = f
-	}
-	if mc.urgent != mc.queues[0] {
-		mc.urgent.OnDrainEnd = f
 	}
 }
 
@@ -134,8 +135,7 @@ const opEncodedSlot = ^uint32(0)
 // queue-spoofed slots are dropped and counted, never dispatched. The
 // handler borrows m.Data for the call.
 func (mc *MultiChan) SetKernelHandler(h func(q int, m Msg)) {
-	for i, c := range mc.queues {
-		q := i
+	for q, c := range mc.queues {
 		c.KernelHandler = func(m Msg) {
 			if m.Op != opEncodedSlot {
 				h(q, m)
@@ -202,11 +202,8 @@ func (mc *MultiChan) DownQ(q int, m Msg) error {
 // Flush delivers every queue's batched downcalls, one doorbell per
 // non-empty ring.
 func (mc *MultiChan) Flush() {
-	for _, c := range mc.queues {
+	for _, c := range mc.rings {
 		c.Flush()
-	}
-	if mc.urgent != mc.queues[0] {
-		mc.urgent.Flush()
 	}
 }
 
@@ -214,11 +211,8 @@ func (mc *MultiChan) Flush() {
 
 // Kill tears down every ring (process death).
 func (mc *MultiChan) Kill() {
-	for _, c := range mc.queues {
+	for _, c := range mc.rings {
 		c.Kill()
-	}
-	if mc.urgent != mc.queues[0] {
-		mc.urgent.Kill()
 	}
 }
 
@@ -228,11 +222,8 @@ func (mc *MultiChan) Dead() bool { return mc.queues[0].Dead() }
 // Pending returns queued upcalls across all rings (hang detection).
 func (mc *MultiChan) Pending() int {
 	n := 0
-	for _, c := range mc.queues {
+	for _, c := range mc.rings {
 		n += c.Pending()
-	}
-	if mc.urgent != mc.queues[0] {
-		n += mc.urgent.Pending()
 	}
 	return n
 }
@@ -245,11 +236,8 @@ func (mc *MultiChan) QueuePending(q int) int { return mc.queues[mc.clamp(q)].Pen
 // SetHung simulates the whole driver process wedging (§3.1.1): every ring
 // stops being serviced.
 func (mc *MultiChan) SetHung(hung bool) {
-	for _, c := range mc.queues {
+	for _, c := range mc.rings {
 		c.Hung = hung
-	}
-	if mc.urgent != mc.queues[0] {
-		mc.urgent.Hung = hung
 	}
 }
 
@@ -259,22 +247,16 @@ func (mc *MultiChan) HangQueue(q int, hung bool) { mc.queues[mc.clamp(q)].Hung =
 
 // SetNoBatch disables downcall batching on every ring (§3.1.2 ablation).
 func (mc *MultiChan) SetNoBatch(v bool) {
-	for _, c := range mc.queues {
+	for _, c := range mc.rings {
 		c.NoBatch = v
-	}
-	if mc.urgent != mc.queues[0] {
-		mc.urgent.NoBatch = v
 	}
 }
 
 // SetNoPoll disables the idle-thread polling window on every ring (§4.2
 // ablation).
 func (mc *MultiChan) SetNoPoll(v bool) {
-	for _, c := range mc.queues {
+	for _, c := range mc.rings {
 		c.NoPoll = v
-	}
-	if mc.urgent != mc.queues[0] {
-		mc.urgent.NoPoll = v
 	}
 }
 
@@ -283,7 +265,8 @@ func (mc *MultiChan) SetNoPoll(v bool) {
 // Stats returns transport counters aggregated over every ring.
 func (mc *MultiChan) Stats() Stats {
 	var t Stats
-	add := func(s Stats) {
+	for _, c := range mc.rings {
+		s := c.stats
 		t.Upcalls += s.Upcalls
 		t.SyncUpcalls += s.SyncUpcalls
 		t.Downcalls += s.Downcalls
@@ -292,15 +275,7 @@ func (mc *MultiChan) Stats() Stats {
 		t.Doorbells += s.Doorbells
 		t.DroppedFull += s.DroppedFull
 		t.SpinTimeouts += s.SpinTimeouts
-		if s.MaxDownBatch > t.MaxDownBatch {
-			t.MaxDownBatch = s.MaxDownBatch
-		}
-	}
-	for _, c := range mc.queues {
-		add(c.Stats())
-	}
-	if mc.urgent != mc.queues[0] {
-		add(mc.urgent.Stats())
+		t.MaxDownBatch = max(t.MaxDownBatch, s.MaxDownBatch)
 	}
 	return t
 }

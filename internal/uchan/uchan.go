@@ -358,8 +358,6 @@ func (c *Chan) Send(m Msg) (*Msg, error) {
 	return &reply, nil
 }
 
-// scheduleService arranges for the driver process to drain its ring,
-// modelling wake latency and the idle-thread polling window.
 // observeGap feeds the adaptive spin estimator with the time between the
 // last drain finishing and a new message arriving.
 func (c *Chan) observeGap() {
@@ -382,16 +380,11 @@ func (c *Chan) spinBudget() sim.Duration {
 	if c.gapEWMA == 0 {
 		return SpinBudget
 	}
-	b := 2 * c.gapEWMA
-	if b < MinSpin {
-		b = MinSpin
-	}
-	if b > MaxSpin {
-		b = MaxSpin
-	}
-	return b
+	return min(max(2*c.gapEWMA, MinSpin), MaxSpin)
 }
 
+// scheduleService arranges for the driver process to drain its ring,
+// modelling wake latency and the idle-thread polling window.
 func (c *Chan) scheduleService() {
 	switch c.state {
 	case stateSleeping:
