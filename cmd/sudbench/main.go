@@ -147,6 +147,11 @@ func main() {
 			return err
 		}
 		fmt.Print(report.FormatFig5(comps))
+		total, err := report.CountLoC(root)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("%-34s %10d\n", "Whole module, less perfbench/", total)
 		return nil
 	})
 

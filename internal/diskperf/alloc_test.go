@@ -59,6 +59,11 @@ func TestBlkAllocsPerRead(t *testing.T) {
 	tb.M.Loop.RunFor(5 * sim.Millisecond)
 
 	base := done
+	// One P across the window: the world restarted after ReadMemStats then
+	// has no idle P to wake, so the runtime starts no OS thread whose own
+	// allocations would land in the count. The simulation is
+	// single-threaded, so the run itself is unchanged.
+	procs := runtime.GOMAXPROCS(1)
 	// A collection first, so the runtime's own one-time allocations (the
 	// GC's background workers) fall outside the window.
 	runtime.GC()
@@ -66,6 +71,7 @@ func TestBlkAllocsPerRead(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	tb.M.Loop.RunFor(20 * sim.Millisecond)
 	runtime.ReadMemStats(&after)
+	runtime.GOMAXPROCS(procs)
 	reads := done - base
 	if reads < 5_000 {
 		t.Fatalf("only %d reads completed in 20 ms", reads)

@@ -1,20 +1,20 @@
 package api
 
 // RecoverableDevice is the shadow-recovery surface every supervised
-// kernel-side device object exposes — the contract blockdev.Dev and
-// netstack.Iface used to duplicate structurally, now shared so the
-// supervisor (internal/sudml), the shadow layer's consumers, and the tenant
-// plane drive recovery through one interface regardless of device class.
+// kernel-side device object exposes (blockdev.Dev, netstack.Iface), so the
+// supervisor (internal/sudml) and the tenant plane drive recovery through
+// one interface regardless of device class.
 //
 // The lifecycle it names is the paper's shadow-driver extension (§2, §5.2):
-// a device object survives its driver process. On a death the device core's
-// BeginRecovery parks it (that entry point stays class-specific — block
-// parking fails nothing while netstack holds TX stopped — so it is not part
-// of this contract); the epoch advances so proxies bound to the dead
-// incarnation are fenced; the restarted or promoted driver adopts the
-// surviving object; and CompleteRecovery replays what the dead incarnation
-// swallowed — logged block requests under their original tags, logged TX
-// frames through the new driver — returning the replay count.
+// a device object survives its driver process. That lifecycle is written
+// once, in internal/kernel/shadow: its table parks the object when the
+// driver dies (BeginRecovery), advances the epoch that fences the dead
+// incarnation's proxy, hands the object to the restarted driver or the
+// promoted standby, and quarantines or unregisters it. What differs by
+// class is a hook the table calls — parking (block stalls its queues, net
+// stops TX) and barring (block fails every held request, net drops carrier)
+// — and the replay CompleteRecovery performs: logged block requests under
+// their original tags, logged TX frames through the new driver.
 //
 // The Queue* methods are the surgical variants from the per-queue
 // confinement plane: exactly one queue's DMA sub-domain was revoked, so

@@ -10,16 +10,15 @@
 // defensive proxy discipline applied to storage).
 //
 // The core is also where shadow-driver recovery (§2, §5.2: restarting a
-// crashed untrusted driver) lands for storage. A device with an attached
-// shadow (internal/kernel/shadow) logs every dispatched request; when its
-// driver process dies under supervision, BeginRecovery parks — instead of
-// fails — both the in-flight and newly submitted requests, bumps the
-// device's epoch (so the dead incarnation's proxy can no longer complete
-// anything), and marks the device adoptable. The restarted driver's
-// registration adopts the existing device object — application handles
-// survive — and CompleteRecovery replays the shadow's in-flight log in
-// per-queue submission order under the original tags before releasing the
-// parked queues. Applications observe added latency, never an error.
+// crashed untrusted driver) lands for storage. The Manager embeds the
+// lifecycle table every class shares (internal/kernel/shadow): a supervised
+// driver's death parks the device — in-flight and newly submitted requests
+// wait instead of failing, and the epoch fences the dead incarnation's
+// proxy — and the restarted driver's registration adopts the same Dev, so
+// application handles survive. CompleteRecovery replays the shadow's
+// in-flight log in per-queue submission order under the original tags
+// before releasing the parked queues: applications observe added latency,
+// never an error.
 package blockdev
 
 import (
@@ -48,7 +47,7 @@ const MaxQueuedPerQueue = 256
 
 // Errors returned by the submission path.
 var (
-	ErrNameTaken  = fmt.Errorf("blockdev: device name already registered")
+	ErrNameTaken  = shadow.ErrNameTaken
 	ErrOutOfRange = fmt.Errorf("blockdev: LBA out of range")
 	ErrBadSize    = fmt.Errorf("blockdev: payload is not one block")
 	ErrDown       = fmt.Errorf("blockdev: device is down")
@@ -57,78 +56,59 @@ var (
 
 // Manager is the kernel's block core.
 type Manager struct {
+	// Table holds the devices by name and drives their recovery lifecycle:
+	// adoption, standbys, quarantine (internal/kernel/shadow).
+	shadow.Table[*Dev, api.BlockGeometry, api.BlockDevice]
+
 	Loop *sim.Loop
 	Acct *sim.CPUAccount // the kernel CPU account
 
 	// Trace is the machine's span plane (kernel.New threads it from
 	// hw.Machine); nil-safe, and free unless spans are enabled.
 	Trace *trace.Tracer
-
-	devs map[string]*Dev
-
-	// adopting holds devices whose driver died under supervision: they are
-	// waiting for the restarted driver's registration to adopt them.
-	adopting map[string]*Dev
-
-	// standbys holds hot-standby drivers pre-registered for a live device:
-	// the failover half of adoption. The geometry check that Register's
-	// adopt path performs at restart time runs here at arm time instead,
-	// so promotion after a kill is a table move, not a probe.
-	standbys map[string]api.BlockDevice
 }
 
 // New returns an empty block core charging CPU to acct.
 func New(loop *sim.Loop, acct *sim.CPUAccount) *Manager {
-	return &Manager{Loop: loop, Acct: acct,
-		devs: make(map[string]*Dev), adopting: make(map[string]*Dev),
-		standbys: make(map[string]api.BlockDevice)}
+	return &Manager{
+		Table: shadow.NewTable(shadow.Class[*Dev, api.BlockGeometry, api.BlockDevice]{
+			Prefix: "blockdev", Kind: "device",
+			Identity: func(d *Dev) api.BlockGeometry { return d.Geom },
+			Bind:     func(d *Dev, drv api.BlockDevice) { d.drv = drv },
+			Park:     (*Dev).park,
+			Bar:      (*Dev).bar,
+		}),
+		Loop: loop,
+		Acct: acct,
+	}
 }
 
 // Register adds a block device for a driver. Names must be unique (proxy
-// drivers retry with the kernel's name template, like netdevs). If a device
-// is awaiting adoption (its supervised driver died) and the registered
-// geometry matches, the existing device object is adopted instead: the new
-// driver backs the same Dev every application handle already points at.
+// drivers retry with the kernel's name template, like netdevs). A device
+// awaiting adoption under name with the same geometry (its supervised
+// driver died) is adopted instead: the new driver backs the same Dev every
+// application handle already points at. There is deliberately no
+// geometry-only match: geometry identifies a device model, not a device.
 func (m *Manager) Register(name string, geom api.BlockGeometry, drv api.BlockDevice) (*Dev, error) {
-	if d := m.adopt(name, geom); d != nil {
-		d.drv = drv
+	return m.Table.Register(name, geom, drv, func() (*Dev, error) {
+		if geom.BlockSize <= 0 || geom.Blocks == 0 {
+			return nil, fmt.Errorf("blockdev: bad geometry %+v", geom)
+		}
+		nq := max(drv.Queues(), 1)
+		d := &Dev{Name: name, Geom: geom, mgr: m, drv: drv, Life: shadow.NewLife(nq),
+			queues: make([]QueueCtx, nq), lat: make([]trace.Hist, nq)}
+		for q := range d.queues {
+			d.queues[q].ID = q
+		}
 		return d, nil
-	}
-	if _, dup := m.devs[name]; dup {
-		return nil, fmt.Errorf("%w: %q", ErrNameTaken, name)
-	}
-	if geom.BlockSize <= 0 || geom.Blocks == 0 {
-		return nil, fmt.Errorf("blockdev: bad geometry %+v", geom)
-	}
-	d := &Dev{Name: name, Geom: geom, mgr: m, drv: drv}
-	nq := drv.Queues()
-	if nq < 1 {
-		nq = 1
-	}
-	d.queues = make([]QueueCtx, nq)
-	for q := range d.queues {
-		d.queues[q].ID = q
-	}
-	d.lat = make([]trace.Hist, nq)
-	m.devs[name] = d
-	return d, nil
+	})
 }
 
-// Unregister removes a device (driver removal / process death). Requests
-// still in flight complete with ErrDown so no caller waits forever on a
-// dead driver. Unregistering a device mid-recovery aborts the recovery:
-// parked and logged requests fail the same way, the shadow log is dropped,
-// and no later registration can adopt the dead device.
-func (m *Manager) Unregister(name string) {
-	d, ok := m.devs[name]
-	if !ok {
-		return
-	}
-	delete(m.devs, name)
-	delete(m.adopting, name)
-	delete(m.standbys, name)
+// bar is the class half of Quarantine and Unregister: the device goes down
+// and every parked, in-flight and logged request fails with ErrDown instead
+// of waiting for a driver that will never come; the shadow log is dropped.
+func (d *Dev) bar() {
 	d.up = false
-	d.recovering = false
 	d.replay = nil
 	if d.shadow != nil {
 		d.shadow.Reset()
@@ -159,7 +139,6 @@ func (d *Dev) failAll() {
 	}
 	for q := range d.queues {
 		qc := &d.queues[q]
-		qc.recovering = false
 		qc.drainLeft = 0
 		for qc.waiting.Len() > 0 {
 			w := qc.waiting.Pop()
@@ -168,153 +147,23 @@ func (d *Dev) failAll() {
 	}
 }
 
-// BeginRecovery marks name's device as recovering: its driver process died
-// under supervision. From this instant until CompleteRecovery, submissions
-// park in the per-queue software queues instead of failing, in-flight
-// requests stay tabled awaiting replay, and the device epoch is bumped so
-// completions still signed by the dead incarnation's proxy are rejected.
-// The device is entered into the adoption table for the restarted driver's
-// registration. A second death before anyone adopted changes nothing
-// (idempotent); a death AFTER adoption — the restarted incarnation dying
-// mid-replay or failing its recovery open — re-enters the adoption table
-// and bumps the epoch again, cutting off the incarnation that just died.
-func (m *Manager) BeginRecovery(name string) (*Dev, error) {
-	d, ok := m.devs[name]
-	if !ok {
-		return nil, fmt.Errorf("blockdev: no device %q to recover", name)
-	}
-	if _, pending := m.adopting[name]; pending && d.recovering {
-		return d, nil // second death with no incarnation bound in between
-	}
-	d.recovering = true
-	d.epoch++
-	for q := range d.queues {
-		// A device-wide recovery subsumes any surgical one in progress:
-		// the full replay owns every queue's drain leg.
-		d.queues[q].stalled = true
-		d.queues[q].recovering = false
-		d.queues[q].drainLeft = 0
-	}
-	m.adopting[name] = d
+// park is the class half of BeginRecovery: from now until CompleteRecovery
+// submissions park in the per-queue software queues instead of failing and
+// in-flight requests stay tabled awaiting replay. A device-wide recovery
+// subsumes any surgical one: the full replay owns every queue's drain leg.
+func (d *Dev) park() {
 	waiting := 0
 	for q := range d.queues {
+		d.queues[q].stalled = true
+		d.queues[q].drainLeft = 0
 		waiting += d.queues[q].waiting.Len()
 	}
 	d.Flight.Recordf(trace.FPark, "%s epoch %d: %d in flight, %d queued parked",
-		name, d.epoch, d.inflight.Len(), waiting)
-	return d, nil
-}
-
-// adopt matches a registration against the adoption table by exact name;
-// the mirrored geometry must also agree — a restarted driver reporting
-// different media is not the same device, and must not inherit its request
-// log. There is deliberately no geometry-only fallback: geometry identifies
-// a device model, not a device, and an unrelated same-sized disk registered
-// during the adoption window must not inherit another device's in-flight
-// requests. A recovering device renamed by the uniquing template is still
-// found, because the proxy's registration retry walks the template names.
-func (m *Manager) adopt(name string, geom api.BlockGeometry) *Dev {
-	d, ok := m.adopting[name]
-	if !ok || d.Geom != geom {
-		return nil
-	}
-	delete(m.adopting, name)
-	d.Flight.Recordf(trace.FAdopt, "%s epoch %d adopted by restarted driver", name, d.epoch)
-	return d
-}
-
-// RegisterStandby pre-registers a hot-standby driver for the named live
-// device — before any kill. The identity check that protects adoption runs
-// now: the standby must mirror the device's exact geometry, so a failover
-// can never hand one device's request log to a driver for different media.
-// One standby may be armed per device at a time.
-func (m *Manager) RegisterStandby(name string, geom api.BlockGeometry, drv api.BlockDevice) error {
-	d, ok := m.devs[name]
-	if !ok {
-		return fmt.Errorf("blockdev: no device %q to stand by for", name)
-	}
-	if d.Geom != geom {
-		return fmt.Errorf("blockdev: standby geometry %+v does not match %s's %+v",
-			geom, name, d.Geom)
-	}
-	if _, dup := m.standbys[name]; dup {
-		return fmt.Errorf("blockdev: device %q already has a standby", name)
-	}
-	m.standbys[name] = drv
-	return nil
-}
-
-// UnregisterStandby disarms a pre-registered standby.
-func (m *Manager) UnregisterStandby(name string) { delete(m.standbys, name) }
-
-// HasStandby reports whether a hot standby is armed for name.
-func (m *Manager) HasStandby(name string) bool {
-	_, ok := m.standbys[name]
-	return ok
-}
-
-// PromoteStandby binds the pre-registered standby driver to name's
-// recovering device: the failover half of adoption. The device must be
-// awaiting adoption (its driver died under supervision); the standby's
-// identity was verified when it registered, before the kill.
-func (m *Manager) PromoteStandby(name string) (*Dev, error) {
-	drv, ok := m.standbys[name]
-	if !ok {
-		return nil, fmt.Errorf("blockdev: no standby armed for %q", name)
-	}
-	d, ok := m.adopting[name]
-	if !ok {
-		return nil, fmt.Errorf("blockdev: device %q is not awaiting adoption", name)
-	}
-	delete(m.standbys, name)
-	delete(m.adopting, name)
-	d.drv = drv
-	d.Flight.Recordf(trace.FAdopt, "%s epoch %d adopted by promoted standby", name, d.epoch)
-	return d, nil
-}
-
-// Quarantine bars name's driver while letting the device object survive:
-// supervision convicted (or gave up on) the driver, so every parked,
-// in-flight and logged request fails with ErrDown instead of waiting for a
-// restart that will never come, the shadow log is dropped, and no later
-// registration can adopt the device. Unlike Unregister the device stays
-// visible — down, driverless, for the admin — and its epoch is bumped once
-// more so nothing the barred incarnation still holds can reach it.
-func (m *Manager) Quarantine(name string) {
-	d, ok := m.devs[name]
-	if !ok {
-		return
-	}
-	delete(m.adopting, name)
-	delete(m.standbys, name)
-	d.up = false
-	d.recovering = false
-	d.epoch++
-	d.replay = nil
-	if d.shadow != nil {
-		d.shadow.Reset()
-	}
-	d.failAll()
-	d.barrier = nil
+		d.Name, d.Epoch(), d.inflight.Len(), waiting)
 }
 
 // Dev looks up a device by name.
-func (m *Manager) Dev(name string) (*Dev, error) {
-	d, ok := m.devs[name]
-	if !ok {
-		return nil, fmt.Errorf("blockdev: no device %q", name)
-	}
-	return d, nil
-}
-
-// Names lists registered devices.
-func (m *Manager) Names() []string {
-	var out []string
-	for n := range m.devs {
-		out = append(out, n)
-	}
-	return out
-}
+func (m *Manager) Dev(name string) (*Dev, error) { return m.Get(name) }
 
 // QueueCtx is one per-queue context of a block device: its own stall state,
 // its own software request queue, and its own counters. Splitting this
@@ -326,14 +175,9 @@ type QueueCtx struct {
 	stalled bool
 	waiting sim.FIFO[queued]
 
-	// Surgical recovery state: the supervisor quarantined this one queue
-	// (its DMA sub-domain revoked) while siblings keep flowing. Epoch is
-	// the queue's own incarnation counter — completions the proxy stamps
-	// with a dead incarnation's epoch are rejected without touching the
-	// device-wide epoch. recovering parks this queue's submissions only;
-	// drainBelow/drainLeft track the queue's own drain leg.
-	Epoch      uint64
-	recovering bool
+	// drainBelow/drainLeft track the queue's own drain leg after a
+	// surgical recovery (the queue's epoch and recovering flag live in the
+	// device's shadow.Life).
 	drainBelow uint64
 	drainLeft  int
 
@@ -348,10 +192,6 @@ type QueueCtx struct {
 
 // Stalled reports the queue's backpressure state (tests and pacing logic).
 func (qc *QueueCtx) Stalled() bool { return qc.stalled }
-
-// Recovering reports whether this one queue is parked by a surgical
-// recovery while its siblings keep flowing.
-func (qc *QueueCtx) Recovering() bool { return qc.recovering }
 
 // Waiting reports the software queue depth.
 func (qc *QueueCtx) Waiting() int { return qc.waiting.Len() }
@@ -412,15 +252,14 @@ type Dev struct {
 	drv api.BlockDevice
 	up  bool
 
-	// Shadow recovery state: the request log (attached by the supervisor),
-	// the recovering flag (park, don't fail), the per-queue replay
-	// schedules built at CompleteRecovery, and the epoch — incremented on
-	// every driver death, so a proxy bound to a dead incarnation can be
-	// told apart from the adopted one.
-	shadow     *shadow.Block
-	recovering bool
-	epoch      uint64
-	replay     [][]shadow.PendingBlock
+	// Shadow recovery state: the request log (attached by the supervisor)
+	// and the per-queue replay schedules built at CompleteRecovery.
+	shadow *shadow.Block
+	replay [][]shadow.PendingBlock
+	// Life is the incarnation state the manager's table drives: the epoch
+	// fencing a dead driver's proxy, the recovering flags (park, don't
+	// fail) and the flight recorder.
+	shadow.Life
 
 	queues   []QueueCtx
 	inflight sim.TagTable[request]
@@ -455,11 +294,6 @@ type Dev struct {
 	// completion delivery), always on.
 	lat []trace.Hist
 
-	// Flight is the device's flight recorder (shared with its supervisor
-	// when supervised, nil otherwise). The block core records the
-	// park/adopt/replay/drain legs of a recovery into it.
-	Flight *trace.Flight
-
 	// drainBelow/drainLeft track the drain leg of a recovery: requests
 	// with tags below drainBelow were dispatched to the incarnation that
 	// died; when the last of them completes, the recovery has drained.
@@ -470,9 +304,6 @@ type Dev struct {
 var _ api.BlockKernel = (*Dev)(nil)
 var _ api.RecoverableDevice = (*Dev)(nil)
 
-// NumQueues reports the device's queue-context count.
-func (d *Dev) NumQueues() int { return len(d.queues) }
-
 // AttachShadow arms shadow recovery: from now on every dispatched request is
 // logged until its completion is delivered. The supervisor attaches the
 // shadow when it takes ownership of the device's driver process.
@@ -481,37 +312,12 @@ func (d *Dev) AttachShadow(s *shadow.Block) { d.shadow = s }
 // Shadow returns the attached shadow (nil when unsupervised).
 func (d *Dev) Shadow() *shadow.Block { return d.shadow }
 
-// Epoch reports the device's driver incarnation epoch; it increments on
-// every BeginRecovery. Proxies record the epoch they bound at and reject
-// their own late completions once it moves on.
-func (d *Dev) Epoch() uint64 { return d.epoch }
-
-// Recovering reports whether the device is between driver incarnations.
-func (d *Dev) Recovering() bool { return d.recovering }
-
-// QueueEpoch reports queue q's own incarnation epoch; it increments on
-// every BeginQueueRecovery. The proxy mirrors it and stamps it on the
-// completions it forwards, so a surgically quarantined queue's stale
-// completions are told apart from its re-armed incarnation's.
-func (d *Dev) QueueEpoch(q int) uint64 { return d.queues[d.clampQ(q)].Epoch }
-
-// QueueRecovering reports whether queue q alone is parked by a surgical
-// recovery.
-func (d *Dev) QueueRecovering(q int) bool { return d.queues[d.clampQ(q)].recovering }
-
 // Queue returns queue q's context (clamped), for per-queue hooks and stats.
-func (d *Dev) Queue(q int) *QueueCtx { return &d.queues[d.clampQ(q)] }
+func (d *Dev) Queue(q int) *QueueCtx { return &d.queues[d.ClampQ(q)] }
 
 // QueueLatency returns queue q's end-to-end latency histogram (dispatch →
 // completion delivery). Snapshot by value for windowed measurements.
-func (d *Dev) QueueLatency(q int) *trace.Hist { return &d.lat[d.clampQ(q)] }
-
-func (d *Dev) clampQ(q int) int {
-	if q < 0 || q >= len(d.queues) {
-		return 0
-	}
-	return q
-}
+func (d *Dev) QueueLatency(q int) *trace.Hist { return &d.lat[d.ClampQ(q)] }
 
 // Up brings the device online (→ driver Open: queue creation, IRQ).
 func (d *Dev) Up() error {
@@ -626,7 +432,7 @@ func (d *Dev) Flush(cb func(error)) error {
 // the driver on queue 0 under its own tag (logged in the shadow like any
 // request, so a driver death mid-barrier replays it in order).
 func (d *Dev) pumpBarrier() {
-	if d.recovering {
+	if d.Recovering() {
 		return
 	}
 	if d.barrier == nil {
@@ -659,7 +465,7 @@ func (d *Dev) finishBarrier(b *flushOp, err error) {
 		d.Flushes++
 	}
 	b.cb(err)
-	if !d.up || d.recovering {
+	if !d.up || d.Recovering() {
 		return
 	}
 	for q := range d.queues {
@@ -678,10 +484,10 @@ func (d *Dev) submit(q int, req api.BlockRequest, done completion) error {
 	if req.LBA >= d.Geom.Blocks {
 		return ErrOutOfRange
 	}
-	q = d.clampQ(q)
+	q = d.ClampQ(q)
 	qc := &d.queues[q]
 	d.mgr.Acct.Charge(CostSubmitPath)
-	if qc.stalled || qc.recovering || d.recovering || d.barrier != nil {
+	if qc.stalled || d.QueueRecovering(q) || d.Recovering() || d.barrier != nil {
 		if qc.waiting.Len() >= MaxQueuedPerQueue {
 			return ErrCongested
 		}
@@ -740,16 +546,16 @@ func (d *Dev) Complete(q int, tag uint64, err error, data []byte) {
 	if d.shadow != nil {
 		d.shadow.RecordComplete(tag)
 	}
-	qc := &d.queues[d.clampQ(q)]
+	qc := &d.queues[d.ClampQ(q)]
 	qc.Completions++
 	d.mgr.Acct.Charge(CostCompletePath)
-	d.lat[d.clampQ(q)].Record(d.mgr.Loop.Now() - r.at)
+	d.lat[d.ClampQ(q)].Record(d.mgr.Loop.Now() - r.at)
 	d.mgr.Trace.Event(trace.ClassBlk, q, tag, trace.HopComplete)
 	if d.drainLeft > 0 && tag < d.drainBelow {
 		d.drainLeft--
 		if d.drainLeft == 0 {
 			d.Flight.Recordf(trace.FDrain, "%s epoch %d: all pre-death requests completed",
-				d.Name, d.epoch)
+				d.Name, d.Epoch())
 		}
 	}
 	// Surgical recoveries drain per queue: the owning queue's context, not
@@ -758,7 +564,7 @@ func (d *Dev) Complete(q int, tag uint64, err error, data []byte) {
 		rqc.drainLeft--
 		if rqc.drainLeft == 0 {
 			d.Flight.Recordf(trace.FDrain, "%s q%d epoch %d: all pre-quarantine requests completed",
-				d.Name, r.q, rqc.Epoch)
+				d.Name, r.q, d.QueueEpoch(r.q))
 		}
 	}
 	if err == nil && !r.write && !r.flush && len(data) != d.Geom.BlockSize {
@@ -782,8 +588,9 @@ func (d *Dev) Complete(q int, tag uint64, err error, data []byte) {
 // the restarted driver before any parked request that was submitted after
 // them.
 func (d *Dev) WakeQueueQ(q int) {
-	qc := &d.queues[d.clampQ(q)]
-	if d.recovering || qc.recovering {
+	q = d.ClampQ(q)
+	qc := &d.queues[q]
+	if d.Recovering() || d.QueueRecovering(q) {
 		// A wake between driver incarnations (a stale proxy, or a death
 		// racing the doorbell) must not release parked requests into a
 		// driver that no longer exists — nor into a surgically quarantined
@@ -849,7 +656,7 @@ func (d *Dev) drainReplay(q int) bool {
 // an Open failure the device stays recovering (parked requests intact), so
 // a second restart can try again.
 func (d *Dev) CompleteRecovery() (int, error) {
-	if !d.recovering {
+	if !d.Recovering() {
 		return 0, nil
 	}
 	if d.up {
@@ -870,12 +677,12 @@ func (d *Dev) CompleteRecovery() (int, error) {
 	d.drainBelow = d.nextTag
 	d.drainLeft = d.inflight.Len()
 	d.Flight.Recordf(trace.FReplay, "%s epoch %d: %d logged requests scheduled for replay",
-		d.Name, d.epoch, n)
+		d.Name, d.Epoch(), n)
 	if d.drainLeft == 0 {
 		d.Flight.Recordf(trace.FDrain, "%s epoch %d: nothing was in flight at death",
-			d.Name, d.epoch)
+			d.Name, d.Epoch())
 	}
-	d.recovering = false
+	d.EndRecovery()
 	for q := range d.queues {
 		d.WakeQueueQ(q)
 	}
@@ -887,25 +694,18 @@ func (d *Dev) CompleteRecovery() (int, error) {
 	return n, nil
 }
 
-// BeginQueueRecovery parks exactly one queue: the supervisor detected DMA
-// faults attributable to queue q and revoked that queue's sub-domain, while
-// the driver process — and every sibling queue — stays up. The queue's own
-// epoch is bumped so completions the proxy still stamps with the dead
-// incarnation are rejected, its in-flight requests stay tabled awaiting
-// replay, and new submissions steered onto it park in its software queue.
-// Idempotent: a second quarantine of an already-parked queue changes
-// nothing, and a device-wide recovery in progress subsumes the surgical one.
+// BeginQueueRecovery parks exactly one queue whose DMA sub-domain the
+// supervisor revoked, while the driver process and every sibling stay up:
+// past the queue's epoch fence (shadow.Life.FenceQueue), its in-flight
+// requests stay tabled awaiting replay and new submissions steered onto it
+// park in its software queue.
 func (d *Dev) BeginQueueRecovery(q int) {
-	if d.recovering {
+	q = d.ClampQ(q)
+	if !d.FenceQueue(q) {
 		return
 	}
-	qc := &d.queues[d.clampQ(q)]
-	if qc.recovering {
-		return
-	}
-	qc.recovering = true
+	qc := &d.queues[q]
 	qc.stalled = true
-	qc.Epoch++
 	qc.drainBelow = d.nextTag
 	qc.drainLeft = 0
 	d.inflight.Range(func(_ uint64, r *request) bool {
@@ -915,41 +715,35 @@ func (d *Dev) BeginQueueRecovery(q int) {
 		return true
 	})
 	d.Flight.Recordf(trace.FPark, "%s q%d epoch %d: %d in flight, %d queued parked",
-		d.Name, qc.ID, qc.Epoch, qc.drainLeft, qc.waiting.Len())
+		d.Name, q, d.QueueEpoch(q), qc.drainLeft, qc.waiting.Len())
 }
 
-// CompleteQueueRecovery finishes a surgical recovery: the supervisor
-// re-armed queue q's DMA sub-domain and resynced the proxy at the queue's
-// new epoch, so the shadow's unfinished requests for this one queue become
-// its replay schedule — original submission order, original tags, their
-// callbacks still tabled — and the queue is released. Siblings never
-// noticed. It returns the number of requests scheduled for replay; it is an
-// error while a device-wide recovery is in progress (the full replay owns
-// every queue).
+// CompleteQueueRecovery finishes a surgical recovery once queue q's
+// sub-domain is re-armed and the proxy resynced: the shadow's unfinished
+// requests for this one queue become its replay schedule — original order,
+// original tags, callbacks still tabled — and the queue is released. It
+// returns the number of requests scheduled for replay.
 func (d *Dev) CompleteQueueRecovery(q int) (int, error) {
-	if d.recovering {
-		return 0, fmt.Errorf("blockdev: %s is in device-wide recovery", d.Name)
+	q = d.ClampQ(q)
+	if parked, err := d.UnfenceQueue(q); !parked {
+		return 0, err
 	}
-	qc := &d.queues[d.clampQ(q)]
-	if !qc.recovering {
-		return 0, nil
-	}
+	qc := &d.queues[q]
 	n := 0
 	if d.shadow != nil {
 		if d.replay == nil {
 			d.replay = make([][]shadow.PendingBlock, len(d.queues))
 		}
-		d.replay[qc.ID] = d.shadow.PendingForQueue(qc.ID, len(d.queues))
-		n = len(d.replay[qc.ID])
+		d.replay[q] = d.shadow.PendingForQueue(q, len(d.queues))
+		n = len(d.replay[q])
 	}
 	d.Flight.Recordf(trace.FReplay, "%s q%d epoch %d: %d logged requests scheduled for replay",
-		d.Name, qc.ID, qc.Epoch, n)
+		d.Name, q, d.QueueEpoch(q), n)
 	if qc.drainLeft == 0 {
 		d.Flight.Recordf(trace.FDrain, "%s q%d epoch %d: nothing was in flight at quarantine",
-			d.Name, qc.ID, qc.Epoch)
+			d.Name, q, d.QueueEpoch(q))
 	}
-	qc.recovering = false
-	d.WakeQueueQ(qc.ID)
+	d.WakeQueueQ(q)
 	d.pumpBarrier()
 	return n, nil
 }

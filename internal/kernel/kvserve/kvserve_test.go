@@ -245,7 +245,7 @@ func TestBadRequestsDroppedWithoutReply(t *testing.T) {
 	tn := fx.srv.Tenant(0)
 	for _, garbage := range [][]byte{
 		nil,
-		{OpGet},                       // truncated header
+		{OpGet},                              // truncated header
 		{99, 0, 0, 0, 0, 0, 0, 0, 1, 1, 'k'}, // unknown op
 		{OpGet, 0, 0, 0, 0, 0, 0, 0, 1, 0},   // zero-length key
 		append(EncodeRequest(Request{Op: OpGet, ID: 1, Key: []byte("k")}), 0xFF), // trailing byte

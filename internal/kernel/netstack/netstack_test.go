@@ -26,6 +26,7 @@ type loopDev struct {
 func (d *loopDev) Open() error   { d.opened = true; return nil }
 func (d *loopDev) Stop() error   { d.stopped = true; return nil }
 func (d *loopDev) TxQueues() int { return 1 }
+
 // StartXmitQ keeps a copy: the stack lends the frame for the call only.
 func (d *loopDev) StartXmitQ(f []byte, _ int) error {
 	if d.failXmit {

@@ -24,6 +24,10 @@ const (
 
 // Stack is the kernel network core.
 type Stack struct {
+	// Table holds the interfaces by name and drives their recovery
+	// lifecycle: adoption, standbys, quarantine (internal/kernel/shadow).
+	shadow.Table[*Iface, [6]byte, api.NetDevice]
+
 	Loop *sim.Loop
 	Acct *sim.CPUAccount // the kernel CPU account
 
@@ -32,18 +36,8 @@ type Stack struct {
 	// block proxies reach it through blockdev.Manager.
 	Trace *trace.Tracer
 
-	ifaces map[string]*Iface
-	udp    map[uint16]*UDPSock
-	tcp    map[uint16]*TCPReceiver
-
-	// adopting holds interfaces whose driver died under supervision,
-	// awaiting adoption by the restarted driver's registration.
-	adopting map[string]*Iface
-
-	// standbys holds hot-standby drivers pre-registered for a live
-	// interface (the failover half of adoption): the MAC identity check
-	// adoption performs at restart time runs at arm time instead.
-	standbys map[string]api.NetDevice
+	udp map[uint16]*UDPSock
+	tcp map[uint16]*TCPReceiver
 
 	// Firewall, if set, inspects every received frame; returning false
 	// drops it. It runs before payload delivery, like a netfilter hook.
@@ -58,13 +52,17 @@ type Stack struct {
 // New returns an empty stack charging CPU to acct.
 func New(loop *sim.Loop, acct *sim.CPUAccount) *Stack {
 	return &Stack{
-		Loop:     loop,
-		Acct:     acct,
-		ifaces:   make(map[string]*Iface),
-		udp:      make(map[uint16]*UDPSock),
-		tcp:      make(map[uint16]*TCPReceiver),
-		adopting: make(map[string]*Iface),
-		standbys: make(map[string]api.NetDevice),
+		Table: shadow.NewTable(shadow.Class[*Iface, [6]byte, api.NetDevice]{
+			Prefix: "netstack", Kind: "interface",
+			Identity: func(ifc *Iface) [6]byte { return ifc.MAC },
+			Bind:     func(ifc *Iface, dev api.NetDevice) { ifc.dev = dev },
+			Park:     (*Iface).park,
+			Bar:      (*Iface).bar,
+		}),
+		Loop: loop,
+		Acct: acct,
+		udp:  make(map[uint16]*UDPSock),
+		tcp:  make(map[uint16]*TCPReceiver),
 	}
 }
 
@@ -78,14 +76,8 @@ type IfaceQueue struct {
 
 	txStopped bool
 
-	// Surgical recovery state: the supervisor quarantined this one queue
-	// pair (its DMA sub-domain revoked) while siblings keep flowing.
-	// Epoch is the queue's own incarnation counter; recovering stops TX
-	// on this queue and drops its RX deliveries (packets are
-	// fire-and-forget — there is nothing to replay). ParkedRxDrops
-	// counts frames dropped while parked.
-	Epoch         uint64
-	recovering    bool
+	// ParkedRxDrops counts frames dropped while a surgical recovery parks
+	// this queue (packets are fire-and-forget: there is nothing to replay).
 	ParkedRxDrops uint64
 
 	// RxFrames / TxFrames count per-queue traffic through this context.
@@ -125,19 +117,13 @@ type Iface struct {
 	carrier bool
 	queues  []IfaceQueue
 
-	// Shadow recovery state: the optional config snapshot (attached by the
-	// supervisor), the recovering flag (every queue held in the TX-stopped
-	// state until the restarted driver takes over), and the epoch — bumped
-	// on each driver death so a proxy bound to the dead incarnation can no
-	// longer deliver frames or wakes into this interface.
-	Shadow     *shadow.Net
-	recovering bool
-	epoch      uint64
-
-	// Flight is the per-device flight recorder the supervisor shares with
-	// this interface (nil-safe): park/adopt transitions land here, between
-	// the supervisor's kill/detect/verdict events.
-	Flight *trace.Flight
+	// Shadow is the optional config snapshot and TX log (attached by the
+	// supervisor) that recovery replays.
+	Shadow *shadow.Net
+	// Life is the incarnation state the stack's table drives: the epoch
+	// fencing a dead driver's proxy, the recovering flags (TX held stopped
+	// until the next driver takes over) and the flight recorder.
+	shadow.Life
 
 	// OnWake, if set, runs when the driver wakes a queue with no
 	// queue-level hook (backpressure release for the TX benchmark loop).
@@ -147,78 +133,32 @@ type Iface struct {
 var _ api.NetKernel = (*Iface)(nil)
 var _ api.RecoverableDevice = (*Iface)(nil)
 
-// ErrNameTaken reports an interface-name collision at registration.
-var ErrNameTaken = fmt.Errorf("netstack: interface name already registered")
-
-// Register adds an interface for a driver's netdev. Names must be unique.
-// The interface gets one queue context per hardware queue the device
-// reports. If an interface is
-// awaiting adoption (its supervised driver died) and the registration
-// matches it by name or hardware address, the existing interface object is
-// adopted instead: sockets and application handles survive the restart.
+// Register adds an interface for a driver's netdev, with one queue context
+// per hardware queue the device reports. Names must be unique. An interface
+// awaiting adoption under name with the same hardware address (its
+// supervised driver died) is adopted instead: sockets and application
+// handles survive the restart.
 func (s *Stack) Register(name string, macAddr [6]byte, dev api.NetDevice) (*Iface, error) {
-	if ifc := s.adopt(name, macAddr); ifc != nil {
-		ifc.dev = dev
+	return s.Table.Register(name, macAddr, dev, func() (*Iface, error) {
+		nq := max(dev.TxQueues(), 1)
+		ifc := &Iface{Name: name, MAC: MAC(macAddr), stack: s, dev: dev,
+			queues: make([]IfaceQueue, nq), Life: shadow.NewLife(nq)}
+		for q := range ifc.queues {
+			ifc.queues[q].ID = q
+		}
 		return ifc, nil
-	}
-	if _, dup := s.ifaces[name]; dup {
-		return nil, fmt.Errorf("%w: %q", ErrNameTaken, name)
-	}
-	ifc := &Iface{Name: name, MAC: MAC(macAddr), stack: s, dev: dev}
-	ifc.queues = make([]IfaceQueue, max(dev.TxQueues(), 1))
-	for q := range ifc.queues {
-		ifc.queues[q].ID = q
-	}
-	s.ifaces[name] = ifc
-	return ifc, nil
+	})
 }
-
-// NumQueues reports the interface's queue-context count.
-func (ifc *Iface) NumQueues() int { return len(ifc.queues) }
 
 // Queue returns queue q's context (clamped), for per-queue hooks and stats.
-func (ifc *Iface) Queue(q int) *IfaceQueue { return &ifc.queues[ifc.clampQ(q)] }
+func (ifc *Iface) Queue(q int) *IfaceQueue { return &ifc.queues[ifc.ClampQ(q)] }
 
-func (ifc *Iface) clampQ(q int) int {
-	if q < 0 || q >= len(ifc.queues) {
-		return 0
-	}
-	return q
-}
-
-// Unregister removes an interface (driver removal). Unregistering an
-// interface mid-recovery aborts the recovery — no later registration can
-// adopt it.
-func (s *Stack) Unregister(name string) {
-	if ifc, ok := s.ifaces[name]; ok {
-		ifc.recovering = false
-		ifc.up = false
-	}
-	delete(s.ifaces, name)
-	delete(s.adopting, name)
-	delete(s.standbys, name)
-}
-
-// BeginRecovery marks name's interface as recovering: its driver process
-// died under supervision. TX holds in the stalled state on every queue (the
-// transport above sees ErrQueueStopped, not a vanished device), the epoch is
-// bumped so the dead incarnation's proxy is cut off, and — when a shadow is
-// attached — the configuration snapshot recovery will replay is captured.
-func (s *Stack) BeginRecovery(name string) (*Iface, error) {
-	ifc, ok := s.ifaces[name]
-	if !ok {
-		return nil, fmt.Errorf("netstack: no interface %q to recover", name)
-	}
-	if _, pending := s.adopting[name]; pending && ifc.recovering {
-		return ifc, nil // second death with no incarnation bound in between
-	}
-	ifc.recovering = true
-	ifc.epoch++
-	for q := range ifc.queues {
-		// A device-wide recovery subsumes any surgical one in progress.
-		ifc.queues[q].txStopped = true
-		ifc.queues[q].recovering = false
-	}
+// park is the class half of BeginRecovery: TX holds stopped on every queue
+// (the transport above sees ErrQueueStopped, not a vanished device) and,
+// when a shadow is attached, the configuration recovery replays is
+// captured.
+func (ifc *Iface) park() {
+	ifc.stopTx()
 	if sh := ifc.Shadow; sh != nil {
 		sh.MAC = ifc.MAC
 		sh.IP = ifc.IP
@@ -227,108 +167,26 @@ func (s *Stack) BeginRecovery(name string) (*Iface, error) {
 		sh.Queues = len(ifc.queues)
 		sh.Snapshots++
 	}
-	s.adopting[name] = ifc
-	ifc.Flight.Recordf(trace.FPark, "%s epoch %d: TX stopped on %d queues", name, ifc.epoch, len(ifc.queues))
-	return ifc, nil
+	ifc.Flight.Recordf(trace.FPark, "%s epoch %d: TX stopped on %d queues", ifc.Name, ifc.Epoch(), len(ifc.queues))
 }
 
-// adopt matches a registration against the adoption table: exact name
-// first, then hardware address (the driver read it back from the same
-// device's EEPROM, so it identifies the interface across a rename).
-func (s *Stack) adopt(name string, macAddr [6]byte) *Iface {
-	ifc, ok := s.adopting[name]
-	if !ok {
-		for n, cand := range s.adopting {
-			if cand.MAC == MAC(macAddr) {
-				ifc, name, ok = cand, n, true
-				break
-			}
-		}
-	}
-	if !ok || ifc.MAC != MAC(macAddr) {
-		return nil
-	}
-	delete(s.adopting, name)
-	ifc.Flight.Recordf(trace.FAdopt, "%s adopted by restarted driver", name)
-	return ifc
-}
-
-// RegisterStandby pre-registers a hot-standby driver for the named live
-// interface — before any kill. The MAC identity check that protects
-// adoption runs now: a standby claiming a different hardware address is
-// not a driver for this interface.
-func (s *Stack) RegisterStandby(name string, macAddr [6]byte, dev api.NetDevice) error {
-	ifc, ok := s.ifaces[name]
-	if !ok {
-		return fmt.Errorf("netstack: no interface %q to stand by for", name)
-	}
-	if ifc.MAC != MAC(macAddr) {
-		return fmt.Errorf("netstack: standby MAC does not match %s", name)
-	}
-	if _, dup := s.standbys[name]; dup {
-		return fmt.Errorf("netstack: interface %q already has a standby", name)
-	}
-	s.standbys[name] = dev
-	return nil
-}
-
-// UnregisterStandby disarms a pre-registered standby.
-func (s *Stack) UnregisterStandby(name string) { delete(s.standbys, name) }
-
-// HasStandby reports whether a hot standby is armed for name.
-func (s *Stack) HasStandby(name string) bool {
-	_, ok := s.standbys[name]
-	return ok
-}
-
-// PromoteStandby binds the pre-registered standby driver to name's
-// recovering interface: the failover half of adoption. The interface must
-// be awaiting adoption (its driver died under supervision).
-func (s *Stack) PromoteStandby(name string) (*Iface, error) {
-	dev, ok := s.standbys[name]
-	if !ok {
-		return nil, fmt.Errorf("netstack: no standby armed for %q", name)
-	}
-	ifc, ok := s.adopting[name]
-	if !ok {
-		return nil, fmt.Errorf("netstack: interface %q is not awaiting adoption", name)
-	}
-	delete(s.standbys, name)
-	delete(s.adopting, name)
-	ifc.dev = dev
-	ifc.Flight.Recordf(trace.FAdopt, "%s adopted by promoted standby", name)
-	return ifc, nil
-}
-
-// Quarantine bars name's driver while letting the interface survive:
-// recovery ends, the epoch is bumped once more, TX stays stopped and the
-// interface is left down and driverless for the admin. Unlike Unregister,
-// sockets and handles keep resolving the name.
-func (s *Stack) Quarantine(name string) {
-	ifc, ok := s.ifaces[name]
-	if !ok {
-		return
-	}
-	delete(s.adopting, name)
-	delete(s.standbys, name)
-	ifc.recovering = false
+// bar is the class half of Quarantine and Unregister: the interface is left
+// down, without carrier, and TX stays stopped. Sockets and handles keep
+// resolving a quarantined interface's name.
+func (ifc *Iface) bar() {
 	ifc.up = false
 	ifc.carrier = false
-	ifc.epoch++
+	ifc.stopTx()
+}
+
+func (ifc *Iface) stopTx() {
 	for q := range ifc.queues {
 		ifc.queues[q].txStopped = true
-		ifc.queues[q].recovering = false
 	}
 }
 
 // Iface looks up an interface by name.
-func (s *Stack) Iface(name string) (*Iface, error) {
-	ifc, ok := s.ifaces[name]
-	if !ok {
-		return nil, fmt.Errorf("netstack: no interface %q", name)
-	}
-	return ifc, nil
-}
+func (s *Stack) Iface(name string) (*Iface, error) { return s.Get(name) }
 
 // Up brings the interface up (ifconfig up → ndo_open).
 func (ifc *Iface) Up(addr IP) error {
@@ -358,62 +216,33 @@ func (ifc *Iface) IsUp() bool { return ifc.up }
 // Carrier reports the mirrored link state.
 func (ifc *Iface) Carrier() bool { return ifc.carrier }
 
-// Epoch reports the interface's driver incarnation epoch; it increments on
-// every BeginRecovery. Proxies record the epoch they bound at and reject
-// their own late downcalls once it moves on.
-func (ifc *Iface) Epoch() uint64 { return ifc.epoch }
-
-// Recovering reports whether the interface is between driver incarnations.
-func (ifc *Iface) Recovering() bool { return ifc.recovering }
-
-// QueueEpoch reports queue q's own incarnation epoch; it increments on
-// every BeginQueueRecovery.
-func (ifc *Iface) QueueEpoch(q int) uint64 { return ifc.queues[ifc.clampQ(q)].Epoch }
-
-// QueueRecovering reports whether queue q alone is parked by a surgical
-// recovery.
-func (ifc *Iface) QueueRecovering(q int) bool { return ifc.queues[ifc.clampQ(q)].recovering }
-
-// BeginQueueRecovery parks exactly one queue pair: the supervisor detected
-// DMA faults attributable to queue q and revoked that queue's sub-domain,
-// while the driver process — and every sibling queue — stays up. TX holds
-// stopped on this queue, its RX deliveries are dropped (there is no packet
-// replay: network loss is the transport's problem), and the queue's own
-// epoch is bumped. Idempotent; a device-wide recovery subsumes it.
+// BeginQueueRecovery parks exactly one queue pair whose DMA sub-domain the
+// supervisor revoked, while the driver process and every sibling stay up:
+// past the queue's epoch fence, TX holds stopped on this queue and its RX
+// deliveries are dropped (network loss is the transport's problem).
 func (ifc *Iface) BeginQueueRecovery(q int) {
-	if ifc.recovering {
+	q = ifc.ClampQ(q)
+	if !ifc.FenceQueue(q) {
 		return
 	}
-	qc := &ifc.queues[ifc.clampQ(q)]
-	if qc.recovering {
-		return
-	}
-	qc.recovering = true
-	qc.txStopped = true
-	qc.Epoch++
+	ifc.queues[q].txStopped = true
 	ifc.Flight.Recordf(trace.FPark, "%s q%d epoch %d: TX stopped, RX dropped",
-		ifc.Name, qc.ID, qc.Epoch)
+		ifc.Name, q, ifc.QueueEpoch(q))
 }
 
 // CompleteQueueRecovery releases a surgically parked queue after its DMA
 // sub-domain is re-armed: TX wakes on this one queue, its shadow TX log
-// replays through the live driver (frames the quarantined queue incarnation
-// swallowed), and RX flows again. Siblings never noticed. It returns the
-// replayed frame count, and an error while a device-wide recovery is in
-// progress.
+// replays through the live driver, and RX flows again. It returns the
+// replayed frame count.
 func (ifc *Iface) CompleteQueueRecovery(q int) (int, error) {
-	if ifc.recovering {
-		return 0, fmt.Errorf("netstack: %s is in device-wide recovery", ifc.Name)
+	q = ifc.ClampQ(q)
+	if parked, err := ifc.UnfenceQueue(q); !parked {
+		return 0, err
 	}
-	qc := &ifc.queues[ifc.clampQ(q)]
-	if !qc.recovering {
-		return 0, nil
-	}
-	qc.recovering = false
 	ifc.Flight.Recordf(trace.FReplay, "%s q%d epoch %d: queue re-armed, TX released",
-		ifc.Name, qc.ID, qc.Epoch)
-	ifc.wakeQueue(qc.ID)
-	return ifc.replayTx(qc.ID), nil
+		ifc.Name, q, ifc.QueueEpoch(q))
+	ifc.wakeQueue(q)
+	return ifc.replayTx(q), nil
 }
 
 // CompleteRecovery finishes a shadow recovery after the restarted driver has
@@ -428,7 +257,7 @@ func (ifc *Iface) CompleteQueueRecovery(q int) (int, error) {
 // on an Open failure the interface stays recovering, so a second restart
 // can retry.
 func (ifc *Iface) CompleteRecovery() (int, error) {
-	if !ifc.recovering {
+	if !ifc.Recovering() {
 		return 0, nil
 	}
 	up := ifc.up
@@ -442,7 +271,7 @@ func (ifc *Iface) CompleteRecovery() (int, error) {
 		}
 		ifc.up = true
 	}
-	ifc.recovering = false
+	ifc.EndRecovery()
 	ifc.Flight.Recordf(trace.FReplay, "%s bring-up replayed, TX released", ifc.Name)
 	replayed := 0
 	for q := range ifc.queues {
@@ -488,7 +317,7 @@ func (ifc *Iface) replayTx(q int) int {
 // shadow it is a no-op.
 func (ifc *Iface) TxConfirm(q int) {
 	if sh := ifc.Shadow; sh != nil {
-		sh.ConfirmXmit(ifc.clampQ(q))
+		sh.ConfirmXmit(ifc.ClampQ(q))
 	}
 }
 
@@ -505,8 +334,9 @@ func (ifc *Iface) Ioctl(cmd uint32, arg []byte) ([]byte, error) {
 // it fully owns; the stack verifies transport checksums itself, and delivery
 // is accounted to the queue's context.
 func (ifc *Iface) NetifRx(frame []byte, q int) {
-	qc := &ifc.queues[ifc.clampQ(q)]
-	if qc.recovering {
+	q = ifc.ClampQ(q)
+	qc := &ifc.queues[q]
+	if ifc.QueueRecovering(q) {
 		// A surgically quarantined queue delivers nothing: frames from
 		// its dead incarnation are dropped, not trusted (the transport
 		// retransmits).
@@ -522,8 +352,9 @@ func (ifc *Iface) NetifRx(frame []byte, q int) {
 // verified in the same pass (§3.1.2), so the stack must not checksum it
 // again.
 func (ifc *Iface) NetifRxVerified(frame []byte, q int) {
-	qc := &ifc.queues[ifc.clampQ(q)]
-	if qc.recovering {
+	q = ifc.ClampQ(q)
+	qc := &ifc.queues[q]
+	if ifc.QueueRecovering(q) {
 		qc.ParkedRxDrops++
 		return
 	}
@@ -540,10 +371,10 @@ func (ifc *Iface) CarrierOff() { ifc.carrier = false }
 // WakeQueue implements api.NetKernel: wake one stopped queue, leaving
 // siblings' stop state untouched (a single-queue driver's "my ring has
 // space again" names queue 0).
-func (ifc *Iface) WakeQueue(q int) { ifc.wakeQueue(ifc.clampQ(q)) }
+func (ifc *Iface) WakeQueue(q int) { ifc.wakeQueue(ifc.ClampQ(q)) }
 
 func (ifc *Iface) wakeQueue(q int) {
-	if ifc.recovering || ifc.queues[q].recovering {
+	if ifc.Recovering() || ifc.QueueRecovering(q) {
 		// Wakes between driver incarnations must not release TX into a
 		// driver that no longer exists; CompleteRecovery wakes every
 		// queue once the restarted driver is in place. A surgically
@@ -668,7 +499,7 @@ func (s *Stack) xmitQ(ifc *Iface, frame []byte, q int) error {
 	if !ifc.up {
 		return fmt.Errorf("netstack: %s is down", ifc.Name)
 	}
-	q = ifc.clampQ(q)
+	q = ifc.ClampQ(q)
 	qc := &ifc.queues[q]
 	if qc.txStopped {
 		s.TxErrors++
@@ -712,7 +543,7 @@ func (s *Stack) UDPSendToQ(ifc *Iface, dstMAC MAC, dstIP IP, sport, dport uint16
 	s.Acct.Charge(sim.ChecksumCopy(len(payload)))
 	// The frame is built in the queue's buffer, which leaves the queue
 	// for the send so that a send nested inside it builds its own.
-	qc := &ifc.queues[ifc.clampQ(q)]
+	qc := &ifc.queues[ifc.ClampQ(q)]
 	frame := buildUDPFrame(qc.txFrame, ifc.MAC, dstMAC, ifc.IP, dstIP, sport, dport, payload)
 	qc.txFrame = nil
 	err := s.xmitQ(ifc, frame, q)

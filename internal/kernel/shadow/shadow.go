@@ -29,12 +29,12 @@
 //     frame that was transmitted but whose credit died with the process
 //     replays as a duplicate — at-least-once, like a replayed block write.
 //
-// The shadow is recording only: it never talks to a driver. The recovery
-// protocol around it lives in the device cores (internal/kernel/blockdev,
-// internal/kernel/netstack — parking, adoption, replay, and the per-device
-// epoch that lets proxies reject completions from a dead incarnation) and in
-// the supervisor (internal/sudml), which detects death, respawns the
-// process, and drives replay.
+// The shadows are recording only: they never talk to a driver. The
+// recovery lifecycle around them is written once, for every class
+// (lifecycle.go): a Table, embedded by netstack.Stack and blockdev.Manager,
+// owns the adoption and standby tables and each object's epoch fences, and
+// calls the class's park and bar hooks. Replay stays in the device cores;
+// detection, respawn and failover in the supervisor (internal/sudml).
 package shadow
 
 import (
@@ -177,7 +177,7 @@ func sortBySeq(ps []PendingBlock) {
 }
 
 // Net is the shadow of one network interface: the configuration snapshot
-// captured at each driver death (the netstack's BeginRecovery hook). The
+// captured at each driver death (the netstack's park hook). The
 // replay path consumes IP and Up — the admin state CompleteRecovery
 // restores before re-opening the driver. The remaining fields are the
 // recorded mirror of what the restart must reproduce by other means, kept

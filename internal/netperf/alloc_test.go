@@ -37,10 +37,16 @@ func TestRXAllocsPerFrame(t *testing.T) {
 	tb.M.Loop.RunFor(5 * sim.Millisecond)
 
 	base := sock.RxDatagrams
+	// One P across the window: the world restarted after ReadMemStats then
+	// has no idle P to wake, so the runtime starts no OS thread whose own
+	// allocations would land in the count. The simulation is
+	// single-threaded, so the run itself is unchanged.
+	procs := runtime.GOMAXPROCS(1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	tb.M.Loop.RunFor(20 * sim.Millisecond)
 	runtime.ReadMemStats(&after)
+	runtime.GOMAXPROCS(procs)
 	frames := sock.RxDatagrams - base
 	if frames < 10_000 {
 		t.Fatalf("only %d frames delivered in 20 ms", frames)

@@ -155,10 +155,9 @@ type flushState struct {
 
 // KernelIface is the slice of kernel services the proxy needs.
 type KernelIface struct {
-	Acct    *sim.CPUAccount
-	Mem     *mem.Memory
-	Blk     *blockdev.Manager
-	DevName string
+	Acct *sim.CPUAccount
+	Mem  *mem.Memory
+	Blk  *blockdev.Manager
 }
 
 // New registers a block device backed by the user-space driver on the other
@@ -167,41 +166,20 @@ type KernelIface struct {
 // device name is taken, the next free name is allocated, as the kernel's
 // block core does — so several storage driver processes coexist.
 func New(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, name string, geom api.BlockGeometry) (*Proxy, error) {
-	p, err := newProxy(ki, df, c, geom)
-	if err != nil {
-		return nil, err
-	}
-	dev, err := qchan.RegisterUnique(name, blockdev.ErrNameTaken, func(n string) (*blockdev.Dev, error) {
-		return ki.Blk.Register(n, geom, (*proxyDev)(p))
-	})
-	if err != nil {
-		return nil, err
-	}
-	p.Bind(dev)
-	return p, nil
+	return newProxy(ki, df, c, name, geom, false)
 }
 
-// NewStandby builds a proxy for a hot-standby driver process and
-// pre-registers it with the block core for the named LIVE device — before
-// any kill. The shared-slot pools are allocated (and their IOMMU mappings
-// established) now, at arm time; what is deferred to promotion is only the
-// binding to the device object, because the device's epoch at failover
-// does not exist yet. The geometry identity check runs here, inside
-// RegisterStandby.
+// NewStandby builds a hot-standby driver's proxy, slot pools and IOMMU
+// mappings included, armed for the named live device before any kill (the
+// geometry identity check runs now); it binds to the device at promotion,
+// at the failover epoch.
 func NewStandby(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, name string, geom api.BlockGeometry) (*Proxy, error) {
-	p, err := newProxy(ki, df, c, geom)
-	if err != nil {
-		return nil, err
-	}
-	if err := ki.Blk.RegisterStandby(name, geom, (*proxyDev)(p)); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return newProxy(ki, df, c, name, geom, true)
 }
 
-// newProxy builds an unbound proxy with SlotsPerQueue block-sized slots per
-// queue.
-func newProxy(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, geom api.BlockGeometry) (*Proxy, error) {
+// newProxy builds a proxy with SlotsPerQueue block-sized slots per queue and
+// joins it to the block core.
+func newProxy(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, name string, geom api.BlockGeometry, standby bool) (*Proxy, error) {
 	q := c.NumQueues()
 	p := &Proxy{
 		K:            ki,
@@ -214,20 +192,21 @@ func newProxy(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, geo
 		Ops: qchan.Ops{Open: OpOpen, Stop: OpStop, PageRecycle: OpPageRecycle, QueueEpoch: OpQueueEpoch,
 			RecycleAck: OpRecycleAck, WakeQueue: OpWakeQueue},
 	})
+	if err == nil {
+		err = qchan.Join(ki.Blk, standby, name, geom, api.BlockDevice((*proxyDev)(p)), p.Bind)
+	}
 	if err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// Bind attaches the proxy to the device it backs. A promoted standby binds
-// after the block core's PromoteStandby — the device's epoch has already
-// been bumped by the primary's death, so the standby binds to the NEW
-// incarnation and the dead primary's proxy stays stale.
+// Bind attaches the proxy to the device it backs, at the device's current
+// epoch: a promoted standby binds after the primary's death bumped it, so
+// the dead primary's proxy stays stale.
 func (p *Proxy) Bind(dev *blockdev.Dev) {
 	p.Dev = dev
 	p.Attach(dev, dev.WakeQueueQ)
-	p.K.DevName = dev.Name
 }
 
 // StaleEpochDowncalls is the policy plane's zombie-incarnation evidence:

@@ -18,6 +18,7 @@ package ethproxy
 import (
 	"fmt"
 
+	"sud/internal/drivers/api"
 	"sud/internal/kernel/netstack"
 	"sud/internal/mem"
 	"sud/internal/proxy/pciaccess"
@@ -132,10 +133,9 @@ type Proxy struct {
 // KernelIface is the slice of kernel services the proxy needs (breaking a
 // direct dependency on the kernel package for testability).
 type KernelIface struct {
-	Acct    *sim.CPUAccount
-	Mem     *mem.Memory
-	Net     *netstack.Stack
-	IfaceNm string
+	Acct *sim.CPUAccount
+	Mem  *mem.Memory
+	Net  *netstack.Stack
 }
 
 // New registers an Ethernet interface backed by the user-space driver on
@@ -144,40 +144,19 @@ type KernelIface struct {
 // requested interface name is taken, the next free ethN is allocated, as
 // the kernel's netdev core does — so several NIC driver processes coexist.
 func New(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, name string, mac [6]byte) (*Proxy, error) {
-	p, err := newProxy(ki, df, c)
-	if err != nil {
-		return nil, err
-	}
-	ifc, err := qchan.RegisterUnique(name, netstack.ErrNameTaken, func(n string) (*netstack.Iface, error) {
-		return ki.Net.Register(n, mac, (*proxyDev)(p))
-	})
-	if err != nil {
-		return nil, err
-	}
-	p.Bind(ifc)
-	return p, nil
+	return newProxy(ki, df, c, name, mac, false)
 }
 
-// NewStandby builds a proxy for a hot-standby driver process and
-// pre-registers it with the netstack for the named LIVE interface — before
-// any kill. The TX shared pool is allocated at arm time; only the binding
-// to the interface object (whose failover epoch does not exist yet) is
-// deferred to promotion. The MAC identity check runs here, inside
-// RegisterStandby.
+// NewStandby builds a hot-standby driver's proxy, TX pool included, armed
+// for the named live interface before any kill (the MAC identity check runs
+// now); it binds to the interface at promotion, at the failover epoch.
 func NewStandby(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, name string, mac [6]byte) (*Proxy, error) {
-	p, err := newProxy(ki, df, c)
-	if err != nil {
-		return nil, err
-	}
-	if err := ki.Net.RegisterStandby(name, mac, (*proxyDev)(p)); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return newProxy(ki, df, c, name, mac, true)
 }
 
-// newProxy builds an unbound proxy: the TX pool is TxSlots shared slots
-// split evenly across the channel's queues.
-func newProxy(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan) (*Proxy, error) {
+// newProxy builds a proxy whose TX pool is TxSlots shared slots split evenly
+// across the channel's queues, and joins it to the netstack.
+func newProxy(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, name string, mac [6]byte, standby bool) (*Proxy, error) {
 	q := c.NumQueues()
 	p := &Proxy{K: ki, RxQueueFrames: make([]uint64, q), RxQueueBatches: make([]uint64, q),
 		rxRefs: make([][]RxRef, q)}
@@ -186,20 +165,21 @@ func newProxy(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan) (*P
 		Ops: qchan.Ops{Open: OpOpen, Stop: OpStop, PageRecycle: OpPageRecycle, QueueEpoch: OpQueueEpoch,
 			RecycleAck: OpRecycleAck, WakeQueue: OpWakeQueue},
 	})
+	if err == nil {
+		err = qchan.Join(ki.Net, standby, name, mac, api.NetDevice((*proxyDev)(p)), p.Bind)
+	}
 	if err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// Bind attaches the proxy to the interface it backs. A promoted standby
-// binds after the netstack's PromoteStandby — the interface epoch has
-// already been bumped by the primary's death, so the standby binds to the
-// NEW incarnation and the dead primary's proxy stays stale.
+// Bind attaches the proxy to the interface it backs, at the interface's
+// current epoch: a promoted standby binds after the primary's death bumped
+// it, so the dead primary's proxy stays stale.
 func (p *Proxy) Bind(ifc *netstack.Iface) {
 	p.Ifc = ifc
 	p.Attach(ifc, ifc.WakeQueue)
-	p.K.IfaceNm = ifc.Name
 }
 
 // StaleEpochDowncalls is the policy plane's zombie-incarnation evidence:

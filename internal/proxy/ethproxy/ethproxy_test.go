@@ -75,7 +75,7 @@ func TestRegistrationCreatesIfaceAndPool(t *testing.T) {
 	if err != nil {
 		t.Fatalf("second registration: %v", err)
 	}
-	if p2.Ifc.Name != "eth1" || ki.IfaceNm != "eth1" {
+	if p2.Ifc.Name != "eth1" {
 		t.Fatalf("second proxy named %q, want eth1", p2.Ifc.Name)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"strings"
 
+	"sud/internal/kernel/shadow"
 	"sud/internal/mem"
 	"sud/internal/proxy/pciaccess"
 	"sud/internal/proxy/protocol"
@@ -463,25 +464,34 @@ func (c *Chassis) Call(what string, m uchan.Msg) ([]byte, error) {
 	return reply.Data, nil
 }
 
-// RegisterUnique registers a kernel object under name; on a collision
-// (taken) it substitutes into the name's template — trailing digits
-// stripped, like the kernel's "eth%d" — until a name is free, so several
-// driver processes of one class coexist. Other failures propagate.
-func RegisterUnique[T any](name string, taken error, register func(name string) (T, error)) (T, error) {
-	obj, err := register(name)
-	if err == nil || !errors.Is(err, taken) {
-		return obj, err
+// Kernel is the kernel table a class proxy registers its driver in
+// (netstack.Stack, blockdev.Manager: a shadow.Table and its constructor).
+type Kernel[O Object, ID, D any] interface {
+	Register(name string, id ID, drv D) (O, error)
+	RegisterStandby(name string, id ID, drv D, bind func(O)) error
+}
+
+// Join is every class proxy's registration: drv is registered under name
+// and bind attaches the proxy to the object. On a name collision the name's
+// template is walked — trailing digits stripped, like the kernel's "eth%d" —
+// so several driver processes of one class coexist, and a restarted driver
+// finds the recovering object it backed under whatever name it had. A hot
+// standby instead arms drv for name's live object; bind runs at promotion.
+func Join[O Object, ID, D any](k Kernel[O, ID, D], standby bool, name string, id ID, drv D, bind func(O)) error {
+	if standby {
+		return k.RegisterStandby(name, id, drv, bind)
 	}
+	obj, err := k.Register(name, id, drv)
 	base := strings.TrimRight(name, "0123456789")
 	if base == "" {
 		base = name
 	}
-	for i := 1; i < 16; i++ {
-		obj, retryErr := register(fmt.Sprintf("%s%d", base, i))
-		if retryErr == nil || !errors.Is(retryErr, taken) {
-			return obj, retryErr
-		}
+	for i := 1; i < 16 && errors.Is(err, shadow.ErrNameTaken); i++ {
+		obj, err = k.Register(fmt.Sprintf("%s%d", base, i), id, drv)
 	}
-	var zero T
-	return zero, err
+	if err != nil {
+		return err
+	}
+	bind(obj)
+	return nil
 }

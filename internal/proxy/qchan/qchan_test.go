@@ -253,3 +253,53 @@ func TestDeadIncarnationRejectedByBothClasses(t *testing.T) {
 		t.Fatal("a dead incarnation's downcall reached class handling")
 	}
 }
+
+// TestRenamedObjectReadoptedByBothClasses pins the one adoption rule, exact
+// name plus equal identity: a restarted driver asking for the name it was
+// first given finds its recovering object under the name the template walk
+// gave it, while the live object holding the requested name is untouched.
+func TestRenamedObjectReadoptedByBothClasses(t *testing.T) {
+	r := newRig(t, 1)
+	macB := [6]byte{2, 0, 0, 0, 0, 8}
+	eki := &ethproxy.KernelIface{Acct: r.k.Acct, Mem: r.m.Mem, Net: r.k.Net}
+	live, err := ethproxy.New(eki, r.df, r.mc, "eth0", mac)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead, err := ethproxy.New(eki, r.df, r.mc, "eth0", macB)
+	if err != nil || dead.Ifc.Name != "eth1" {
+		t.Fatalf("second NIC: %v", err)
+	}
+	if _, err := r.k.Net.BeginRecovery("eth1"); err != nil {
+		t.Fatal(err)
+	}
+	restarted, err := ethproxy.New(eki, r.df, r.mc, "eth0", macB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restarted.Ifc != dead.Ifc || live.Ifc.Recovering() {
+		t.Fatalf("restarted NIC bound %q, want the recovering eth1 object", restarted.Ifc.Name)
+	}
+
+	geomA := api.BlockGeometry{BlockSize: 4096, Blocks: 1024}
+	geomB := api.BlockGeometry{BlockSize: 4096, Blocks: 2048}
+	bki := &blkproxy.KernelIface{Acct: r.k.Acct, Mem: r.m.Mem, Blk: r.k.Blk}
+	liveDisk, err := blkproxy.New(bki, r.df, r.mc, "nvme0", geomA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadDisk, err := blkproxy.New(bki, r.df, r.mc, "nvme0", geomB)
+	if err != nil || deadDisk.Dev.Name != "nvme1" {
+		t.Fatalf("second disk: %v", err)
+	}
+	if _, err := r.k.Blk.BeginRecovery("nvme1"); err != nil {
+		t.Fatal(err)
+	}
+	restartedDisk, err := blkproxy.New(bki, r.df, r.mc, "nvme0", geomB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restartedDisk.Dev != deadDisk.Dev || liveDisk.Dev.Recovering() {
+		t.Fatalf("restarted disk bound %q, want the recovering nvme1 object", restartedDisk.Dev.Name)
+	}
+}

@@ -162,3 +162,30 @@ func TestSecuritySummaryFormat(t *testing.T) {
 		t.Fatalf("matrix:\n%s", full)
 	}
 }
+
+// CountLoC skips test files, hidden directories and a nested perfbench/
+// module, but counts a directory it is pointed at directly.
+func TestCountLoCSkipsPerfbenchAndHidden(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"a.go":           "package a\n\nvar x = 1\n",
+		"a_test.go":      "package a\nvar y = 2\n",
+		"perfbench/b.go": "package main\nvar z = 3\nvar w = 4\n",
+		".cache/c.go":    "package c\n",
+	}
+	for name, body := range files {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := CountLoC(root); err != nil || n != 2 {
+		t.Fatalf("module lines = %d (%v), want 2", n, err)
+	}
+	if n, err := CountLoC(filepath.Join(root, "perfbench")); err != nil || n != 3 {
+		t.Fatalf("perfbench lines = %d (%v), want 3", n, err)
+	}
+}

@@ -30,24 +30,38 @@ type class struct {
 	recycler api.PageRecycler
 
 	// The kernel object the proxy is bound to: its name ("" until a
-	// standby's promotion binds it) and its recovery surface. standbyID is
-	// an armed standby's identity (MAC or geometry) awaiting its driver.
-	name       string
-	rd         api.RecoverableDevice
-	standbyID  any
-	unregister func(name string)
+	// standby's promotion binds it), its recovery surface, and the kernel
+	// table it lives in. standbyID is an armed standby's identity (MAC or
+	// geometry) awaiting its driver.
+	name      string
+	rd        api.RecoverableDevice
+	objs      interface{ Unregister(name string) }
+	standbyID any
 
-	// The recovery half, nil for classes without one (wifi, audio). The
-	// netstack and the block core expose the kernel-object calls alike.
-	beginRecovery     func(name string)
-	unregisterStandby func(name string)
-	quarantine        func(name string)
-	promote           func(name string) error // bind an armed standby to name
-	arm               func(sb *Process) error // pre-register sb as this object's standby
-	attach            func(f *trace.Flight)   // shadow the object under supervision
-	probe             func() bool             // active health probe: true if it fails
-	qp                queueProxy
-	guard             *int // the proxy's guard mode
+	// The recovery half, nil for classes without one (wifi, audio). arm
+	// builds sb's class as this object's standby and returns the identity
+	// sb's driver must present at promotion.
+	arm    func(sb *Process) (*class, any, error)
+	attach func(f *trace.Flight) // shadow the object under supervision
+	probe  func() bool           // active health probe: true if it fails
+	qp     queueProxy
+	guard  *int // the proxy's guard mode
+}
+
+// lifecycle is the recovery lifecycle of the recoverable classes' tables:
+// one shadow.Table, embedded by netstack.Stack and blockdev.Manager.
+type lifecycle interface {
+	Unregister(name string)
+	BeginRecovery(name string) (api.RecoverableDevice, error)
+	UnregisterStandby(name string)
+	PromoteStandby(name string) (api.RecoverableDevice, error)
+	Quarantine(name string)
+}
+
+// life returns the class's recovery lifecycle (nil: the class has none).
+func (c *class) life() lifecycle {
+	l, _ := c.objs.(lifecycle)
+	return l
 }
 
 // queueProxy is what the supervisor drives on a chassis-backed proxy: park
@@ -99,27 +113,14 @@ func (p *Process) netClass(eth *ethproxy.Proxy, err error) (*class, error) {
 	p.Eth = eth
 	p.hold.try, p.hold.drop = p.tryXmit, p.dropXmit
 	rx := newBatcher(p, ethproxy.OpNetifRxBatch, ethproxy.MaxRxBatch, false, &p.RxBatches, ethproxy.EncodeRxBatch)
-	net := p.K.Net
 	c := &class{ops: netOps, lo: protocol.EthBase, hi: protocol.WifiBase - 1, down: eth.HandleDowncall,
-		kernel: &umlNetKernel{p: p, rx: rx}, batch: rx, qp: eth, guard: &eth.GuardMode,
-		unregister: net.Unregister, unregisterStandby: net.UnregisterStandby, quarantine: net.Quarantine,
-		beginRecovery: func(n string) { _, _ = net.BeginRecovery(n) },
-	}
+		kernel: &umlNetKernel{p: p, rx: rx}, batch: rx, qp: eth, guard: &eth.GuardMode, objs: p.K.Net}
 	if eth.Ifc != nil {
 		c.bind(eth.Ifc.Name, eth.Ifc)
 	}
-	c.promote = func(name string) error {
-		ifc, err := net.PromoteStandby(name)
-		if err == nil {
-			eth.Bind(ifc)
-			c.bind(ifc.Name, ifc)
-		}
-		return err
-	}
-	c.arm = func(sb *Process) error {
-		ifc := eth.Ifc
-		sc, err := sb.netClass(ethproxy.NewStandby(sb.netKI(), sb.DF, sb.Chan, ifc.Name, ifc.MAC))
-		return sb.armed(sc, [6]byte(ifc.MAC), err)
+	c.arm = func(sb *Process) (*class, any, error) {
+		sc, err := sb.netClass(ethproxy.NewStandby(eth.K, sb.DF, sb.Chan, eth.Ifc.Name, eth.Ifc.MAC))
+		return sc, [6]byte(eth.Ifc.MAC), err
 	}
 	c.attach = func(f *trace.Flight) { eth.Ifc.Shadow, eth.Ifc.Flight = &shadow.Net{}, f }
 	c.probe = func() bool {
@@ -134,10 +135,6 @@ func (p *Process) netClass(eth *ethproxy.Proxy, err error) (*class, error) {
 	return c, nil
 }
 
-func (p *Process) netKI() *ethproxy.KernelIface {
-	return &ethproxy.KernelIface{Acct: p.K.Acct, Mem: p.K.M.Mem, Net: p.K.Net}
-}
-
 // blkClass binds the block class to bp (or passes on err).
 func (p *Process) blkClass(bp *blkproxy.Proxy, err error) (*class, error) {
 	if err != nil {
@@ -148,46 +145,20 @@ func (p *Process) blkClass(bp *blkproxy.Proxy, err error) (*class, error) {
 	// run: see the slot-reuse hazard in interrupt.
 	p.hold.try, p.hold.drop, p.hold.deliverFirst = p.tryBlkSubmit, p.dropBlkSubmit, true
 	comps := newBatcher(p, blkproxy.OpCompleteBatch, blkproxy.MaxBlkBatch, true, &p.BlkBatches, blkproxy.EncodeBlkBatch)
-	blk := p.K.Blk
 	c := &class{ops: blkOps, lo: protocol.BlockBase, hi: ^uint32(0), down: bp.HandleDowncall,
-		kernel: &umlBlockKernel{p: p, comps: comps}, batch: comps, qp: bp, guard: &bp.GuardMode,
-		unregister: blk.Unregister, unregisterStandby: blk.UnregisterStandby, quarantine: blk.Quarantine,
-		beginRecovery: func(n string) { _, _ = blk.BeginRecovery(n) },
-	}
+		kernel: &umlBlockKernel{p: p, comps: comps}, batch: comps, qp: bp, guard: &bp.GuardMode, objs: p.K.Blk}
 	if bp.Dev != nil {
 		c.bind(bp.Dev.Name, bp.Dev)
 	}
-	c.promote = func(name string) error {
-		d, err := blk.PromoteStandby(name)
-		if err == nil {
-			bp.Bind(d)
-			c.bind(d.Name, d)
-		}
-		return err
-	}
-	c.arm = func(sb *Process) error {
-		d := bp.Dev
-		sc, err := sb.blkClass(blkproxy.NewStandby(sb.blkKI(), sb.DF, sb.Chan, d.Name, d.Geom))
-		return sb.armed(sc, d.Geom, err)
+	c.arm = func(sb *Process) (*class, any, error) {
+		sc, err := sb.blkClass(blkproxy.NewStandby(bp.K, sb.DF, sb.Chan, bp.Dev.Name, bp.Dev.Geom))
+		return sc, bp.Dev.Geom, err
 	}
 	c.attach = func(f *trace.Flight) {
 		bp.Dev.AttachShadow(shadow.NewBlock(bp.Dev.Geom))
 		bp.Dev.Flight = f
 	}
 	return c, nil
-}
-
-func (p *Process) blkKI() *blkproxy.KernelIface {
-	return &blkproxy.KernelIface{Acct: p.K.Acct, Mem: p.K.M.Mem, Blk: p.K.Blk}
-}
-
-// armed installs a standby's class c (unless building it failed with err),
-// armed with the identity its driver must present at promotion.
-func (p *Process) armed(c *class, id any, err error) error {
-	if err == nil {
-		p.cls, c.standbyID = c, id
-	}
-	return err
 }
 
 // wifiClass binds the wireless class to w (no recovery path).
@@ -198,7 +169,7 @@ func (p *Process) wifiClass(w *wifiproxy.Proxy, err error) (*class, error) {
 	p.Wifi = w
 	return &class{ops: wifiOps, lo: protocol.WifiBase, hi: protocol.AudioBase - 1,
 		down:   func(_ int, m uchan.Msg) { w.HandleDowncall(m) },
-		kernel: &umlWifiKernel{p: p}, name: w.Ifc.Name, unregister: p.K.Wifi.Unregister}, nil
+		kernel: &umlWifiKernel{p: p}, name: w.Ifc.Name, objs: p.K.Wifi}, nil
 }
 
 // audioClass binds the audio class to a (no recovery path).
@@ -209,7 +180,7 @@ func (p *Process) audioClass(a *audioproxy.Proxy, err error) (*class, error) {
 	p.Audio = a
 	return &class{ops: audioOps, lo: protocol.AudioBase, hi: protocol.BlockBase - 1,
 		down:   func(_ int, m uchan.Msg) { a.HandleDowncall(m) },
-		kernel: &umlAudioKernel{p: p}, name: a.PCM.Name, unregister: p.K.Audio.Unregister}, nil
+		kernel: &umlAudioKernel{p: p}, name: a.PCM.Name, objs: p.K.Audio}, nil
 }
 
 // --- upcall tables --------------------------------------------------------------

@@ -181,7 +181,7 @@ func (s *Supervisor) start(gen int) error {
 	if err != nil {
 		return err
 	}
-	if c := proc.cls; c == nil || c.name != s.obj || c.beginRecovery == nil {
+	if c := proc.cls; c == nil || c.name != s.obj || c.life() == nil {
 		proc.Kill()
 		return fmt.Errorf("sudml: %s did not register recoverable %s", name, s.obj)
 	}
@@ -234,11 +234,13 @@ func (s *Supervisor) ArmStandby() error {
 		return err
 	}
 	sb.Flight = s.Flight
-	if err := s.proc.cls.arm(sb); err != nil {
+	sc, id, err := s.proc.cls.arm(sb)
+	if err != nil {
 		sb.Kill()
 		return err
 	}
-	*sb.cls.guard = *s.proc.cls.guard
+	sb.cls, sc.standbyID = sc, id
+	*sc.guard = *s.proc.cls.guard
 	s.standby = sb
 	return nil
 }
@@ -249,7 +251,7 @@ func (s *Supervisor) DisarmStandby() {
 	if s.standby == nil {
 		return
 	}
-	s.proc.cls.unregisterStandby(s.obj)
+	s.proc.cls.life().UnregisterStandby(s.obj)
 	s.standby.Kill()
 	s.standby = nil
 }
@@ -536,10 +538,12 @@ func (s *Supervisor) failover() bool {
 	s.harvestStale()
 	s.proc.Kill() // no-op if already dead; parks the devices, bumps the epoch
 	s.Flight.Recordf(trace.FPromote, "promoting hot standby %s", sb.Name)
-	if err := sb.cls.promote(s.obj); err != nil {
+	rd, err := sb.cls.life().PromoteStandby(s.obj)
+	if err != nil {
 		s.K.Logf("supervisor: failover of %s failed: %v", s.obj, err)
 		return false
 	}
+	sb.cls.bind(s.obj, rd)
 	s.Restarts++
 	s.Failovers++
 	s.Policy.RecordRestart(s.K.M.Now())
@@ -603,5 +607,5 @@ func (s *Supervisor) quarantine(reason string) {
 	if s.proc != nil && !s.proc.Killed() {
 		s.proc.Kill()
 	}
-	s.proc.cls.quarantine(s.obj)
+	s.proc.cls.life().Quarantine(s.obj)
 }

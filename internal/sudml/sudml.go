@@ -296,10 +296,10 @@ func (p *Process) Kill() {
 	p.Chan.Kill()
 	p.DF.Close()
 	if c := p.cls; c != nil && c.name != "" {
-		if p.Recoverable && c.beginRecovery != nil {
-			c.beginRecovery(c.name)
+		if l := c.life(); p.Recoverable && l != nil {
+			_, _ = l.BeginRecovery(c.name) // fails only for an unregistered name; c.name is bound
 		} else {
-			c.unregister(c.name)
+			c.objs.Unregister(c.name)
 		}
 	}
 	p.K.Logf("sudml: driver process %s (uid %d) killed", p.Name, p.UID)
@@ -804,7 +804,8 @@ func (e *env) IRQAck() {
 // proxy is created in the kernel with the hardware address mirrored.
 func (e *env) RegisterNetDev(name string, macAddr [6]byte, dev api.NetDevice) (api.NetKernel, error) {
 	return register[api.NetKernel](e, macAddr, dev, &e.p.netdev, func(p *Process) (*class, error) {
-		return p.netClass(ethproxy.New(p.netKI(), p.DF, p.Chan, name, macAddr))
+		ki := &ethproxy.KernelIface{Acct: p.K.Acct, Mem: p.K.M.Mem, Net: p.K.Net}
+		return p.netClass(ethproxy.New(ki, p.DF, p.Chan, name, macAddr))
 	})
 }
 
@@ -854,7 +855,8 @@ func (e *env) RegisterSoundDev(name string, dev api.AudioDevice) (api.AudioKerne
 // device-file allocations in the process's IOMMU domain.
 func (e *env) RegisterBlockDev(name string, geom api.BlockGeometry, dev api.BlockDevice) (api.BlockKernel, error) {
 	return register[api.BlockKernel](e, geom, dev, &e.p.blockdev, func(p *Process) (*class, error) {
-		return p.blkClass(blkproxy.New(p.blkKI(), p.DF, p.Chan, name, geom))
+		ki := &blkproxy.KernelIface{Acct: p.K.Acct, Mem: p.K.M.Mem, Blk: p.K.Blk}
+		return p.blkClass(blkproxy.New(ki, p.DF, p.Chan, name, geom))
 	})
 }
 

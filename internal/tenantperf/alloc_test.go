@@ -28,6 +28,11 @@ func TestKVAllocsPerOp(t *testing.T) {
 	tb.M.Loop.RunFor(10 * sim.Millisecond)
 
 	base := totalReplies(tb)
+	// One P across the window: the world restarted after ReadMemStats then
+	// has no idle P to wake, so the runtime starts no OS thread whose own
+	// allocations would land in the count. The simulation is
+	// single-threaded, so the run itself is unchanged.
+	procs := runtime.GOMAXPROCS(1)
 	// A collection first, so the runtime's own one-time allocations (the
 	// GC's background workers) fall outside the window.
 	runtime.GC()
@@ -35,6 +40,7 @@ func TestKVAllocsPerOp(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	tb.M.Loop.RunFor(30 * sim.Millisecond)
 	runtime.ReadMemStats(&after)
+	runtime.GOMAXPROCS(procs)
 	ops := totalReplies(tb) - base
 	if ops < 1_000 {
 		t.Fatalf("only %d replies in 30 ms", ops)
